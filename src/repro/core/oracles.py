@@ -18,6 +18,11 @@ Two flavours live here:
   :class:`~repro.core.baselines.EmpiricalDistanceTester`) the oracle is
   bit-identical under a same-seeded generator; elsewhere it matches in
   law and differential tests compare acceptance rates statistically.
+
+:func:`discrete_sample_reference` pins the sampler underneath all of them:
+the plain binary-search inverse CDF that the guide-table lookup in
+:meth:`~repro.distributions.DiscreteDistribution.sample` must reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,27 @@ from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .closeness import closeness_statistic
 from .players import collision_counts
+
+
+def discrete_sample_reference(
+    distribution: DiscreteDistribution, size: int, rng: RngLike = None
+) -> np.ndarray:
+    """Binary-search inverse-CDF transcription of
+    :meth:`~repro.distributions.DiscreteDistribution.sample`.
+
+    One ``random`` double per element, mapped through ``searchsorted`` on
+    the same cumulative vector — bit-identical to the guide-table sampler
+    under a same-seeded generator.
+    """
+    if size < 0:
+        raise InvalidParameterError(f"size must be >= 0, got {size}")
+    generator = ensure_rng(rng)
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    cumulative = np.cumsum(distribution.pmf)
+    cumulative[-1] = 1.0
+    uniforms = generator.random(size)
+    return np.searchsorted(cumulative, uniforms, side="right").astype(np.int64)
 
 
 def graph_statistic_reference(graph, samples, mode: str = "edges") -> np.ndarray:

@@ -16,7 +16,7 @@ hashable on their bytes and safe to share across players.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,56 @@ from ..rng import RngLike, ensure_rng
 
 #: Tolerance used when validating that a pmf sums to one.
 PMF_SUM_ATOL = 1e-9
+
+#: Vectorised advance passes of the guide-table lookup before the elements
+#: still unresolved fall back to one ``searchsorted`` (see :func:`_guide_lookup`).
+_MAX_ADVANCE_ROUNDS = 3
+
+
+def _guide_table(cumulative: np.ndarray) -> np.ndarray:
+    """Cutpoint table for :func:`_guide_lookup` over ``cumulative``.
+
+    ``guide[j]`` is the first index whose cumulative mass exceeds ``j/m``,
+    with ``m`` the power of two in ``[2n, 4n)``.  Because ``m`` is a power
+    of two, ``j/m`` is exact and ``floor(u*m)/m <= u`` for every double
+    ``u``, so ``guide[floor(u*m)]`` never overshoots the inverse CDF.
+    """
+    m = 1 << (cumulative.size - 1).bit_length() + 1
+    guide = np.searchsorted(cumulative, np.arange(m) / m, side="right").astype(np.int64)
+    guide.setflags(write=False)
+    return guide
+
+
+def _guide_lookup(
+    cumulative: np.ndarray, guide: np.ndarray, uniforms: np.ndarray
+) -> Tuple[np.ndarray, int, int]:
+    """``searchsorted(cumulative, uniforms, side="right")`` via the guide table.
+
+    Starts each element at its bucket's cutpoint, then advances
+    ``idx += cumulative[idx] <= u`` on the still-moving subset for at most
+    ``_MAX_ADVANCE_ROUNDS`` passes; whatever still moves is resolved by one
+    ``searchsorted`` on that subset, so a bucket packed with many tiny atoms
+    costs one binary search instead of a Python-level loop per atom.
+
+    Returns ``(indices, rounds, tail)``: the int64 indices, the advance
+    passes run and the number of elements the capped tail resolved.
+    """
+    buckets = (uniforms * guide.size).astype(np.intp)
+    indices = guide.take(buckets)
+    del buckets  # keep per-call temporaries at three 8-byte arrays per element
+    moved = cumulative.take(indices) <= uniforms
+    indices += moved
+    active = np.flatnonzero(moved)
+    positions, targets = indices[active], uniforms[active]
+    rounds = 1
+    while active.size and rounds < _MAX_ADVANCE_ROUNDS:
+        keep = np.flatnonzero(cumulative.take(positions) <= targets)
+        rounds += 1
+        active, positions, targets = active[keep], positions[keep] + 1, targets[keep]
+        indices[active] = positions
+    if active.size:
+        indices[active] = np.searchsorted(cumulative, targets, side="right")
+    return indices, rounds, int(active.size)
 
 
 class DiscreteDistribution:
@@ -51,7 +101,7 @@ class DiscreteDistribution:
     0.5
     """
 
-    __slots__ = ("_pmf", "_cumulative")
+    __slots__ = ("_pmf", "_cumulative", "_guide")
 
     def __init__(self, pmf: Union[Sequence[float], np.ndarray], *, normalize: bool = False):
         array = np.asarray(pmf, dtype=np.float64)
@@ -80,6 +130,7 @@ class DiscreteDistribution:
         array.setflags(write=False)
         self._pmf = array
         self._cumulative: Optional[np.ndarray] = None
+        self._guide: Optional[np.ndarray] = None
 
     @classmethod
     def from_samples(
@@ -183,21 +234,24 @@ class DiscreteDistribution:
     def sample(self, size: int, rng: RngLike = None) -> np.ndarray:
         """Draw ``size`` iid samples as an int64 array.
 
-        Uses inverse-CDF sampling on a cached cumulative vector, which is the
-        fastest pure-numpy strategy for repeated draws from one distribution.
+        Inverse-CDF sampling with one ``generator.random`` double per
+        element, looked up in O(1) expected time through a guide table
+        built lazily (with the cumulative vector) on the first call.  The
+        result equals ``searchsorted(cumulative, u, side="right")`` bit for
+        bit, so draws do not depend on how the lookup is done.
         """
         if size < 0:
             raise InvalidParameterError(f"size must be >= 0, got {size}")
         generator = ensure_rng(rng)
         if size == 0:
             return np.empty(0, dtype=np.int64)
-        if self._cumulative is None:
+        if self._guide is None:
             cumulative = np.cumsum(self._pmf)
             cumulative[-1] = 1.0
             cumulative.setflags(write=False)
             self._cumulative = cumulative
-        uniforms = generator.random(size)
-        return np.searchsorted(self._cumulative, uniforms, side="right").astype(np.int64)
+            self._guide = _guide_table(cumulative)
+        return _guide_lookup(self._cumulative, self._guide, generator.random(size))[0]
 
     def sample_matrix(self, rows: int, cols: int, rng: RngLike = None) -> np.ndarray:
         """Draw a ``rows x cols`` matrix of iid samples (players x queries)."""

@@ -156,3 +156,18 @@ def test_counting_rng_counts_scalar_and_permutation_draws():
     rng.permutation(4)
     rng.poisson(1.5, size=(3, 2))
     assert rng.elements == 1 + 4 + 6
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000, 65536])
+def test_discrete_sample_draws_one_double_per_element(n):
+    """The guide-table sampler keeps the one-uniform-per-element budget
+    every ``elements_per_trial`` declaration (and RL803) relies on, and
+    building the guide table on the first call draws nothing."""
+    dist = uniform(n)
+    rng = CountingRng(seed=3)
+    dist.sample(1, rng)  # first call builds the cumulative vector and guide
+    assert rng.elements == 1
+    dist.sample(4096, rng)
+    assert rng.elements == 1 + 4096
+    dist.sample_matrix(7, 11, rng)
+    assert rng.elements == 1 + 4096 + 77
