@@ -5,13 +5,18 @@ Split out of :mod:`repro.core.testers` so the comparison-graph layer
 the concrete testers in :mod:`repro.core.testers` subclass the graph
 layer in turn — base ← graphs ← testers, no cycles.  Both names are
 re-exported from :mod:`repro.core.testers` for existing call sites.
+
+Every tester is a native :class:`~repro.engine.kernels.AcceptKernel`:
+subclasses supply the single-tile ``accept_block`` and the per-class
+``_token_fields``; the base class derives ``accept_batch``,
+``cache_token`` and the default ``elements_per_trial`` from them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -43,6 +48,10 @@ class UniformityTester(ABC):
     ``P[reject | ε-far] >= 2/3``.
     """
 
+    #: Bumped per class when its draw order, statistic or calibration
+    #: changes, so stale cached acceptance curves can never be read.
+    kernel_version = 1
+
     def __init__(self, n: int, epsilon: float):
         if n < 2:
             raise InvalidParameterError(f"n must be >= 2, got {n}")
@@ -52,15 +61,55 @@ class UniformityTester(ABC):
         self.epsilon = float(epsilon)
 
     @abstractmethod
-    def accept_batch(
+    def accept_block(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
-        """Boolean accept vector over ``trials`` independent executions."""
+        """Single-tile kernel: boolean accept vector for one RNG block."""
+
+    @abstractmethod
+    def _token_fields(self) -> Dict[str, Any]:
+        """Every parameter the verdicts depend on beyond ``(n, epsilon)``,
+        at full precision (arrays enter as
+        :func:`~repro.engine.cache.array_digest`)."""
 
     @property
     @abstractmethod
     def resources(self) -> TesterResources:
         """Players / samples / message bits consumed per execution."""
+
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        """Exact identity of the computation, for the acceptance cache."""
+        from ..engine import KERNEL_SCHEMA_VERSION
+
+        return {
+            "schema": KERNEL_SCHEMA_VERSION,
+            "kind": "tester",
+            "class": type(self).__name__,
+            "kernel_version": int(self.kernel_version),
+            "n": self.n,
+            "epsilon": self.epsilon,
+            **self._token_fields(),
+        }
+
+    @property
+    def elements_per_trial(self) -> int:
+        """Tiling hint; kernels materialising more than their samples
+        (hash tables, histograms) override it."""
+        return self.resources.total_samples
+
+    def accept_batch(
+        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
+    ) -> np.ndarray:
+        """Boolean accept vector over ``trials`` independent executions.
+
+        Tiled over the active backend one RNG block per ``accept_block``
+        call, so the result is bit-identical across backends and tile
+        sizes.
+        """
+        from ..engine import chunked_accepts
+
+        return chunked_accepts(self, distribution, trials, rng)
 
     def test(self, distribution: DiscreteDistribution, rng: RngLike = None) -> bool:
         """One execution: ``True`` iff the tester accepts (says uniform)."""
@@ -75,8 +124,6 @@ class UniformityTester(ABC):
         (:func:`repro.engine.estimate_acceptance`), which supplies chunked
         streaming, caching and metrics for every tester uniformly.
         """
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
         from ..engine import estimate_acceptance
 
         return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate

@@ -20,7 +20,7 @@ symmetric statistic, since the probability multiset is shared).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class UniqueElementsTester(ComparisonGraphTester):
             calibration_rng=calibration_rng,
             calibration_trials=calibration_trials,
         )
-
-    @property
-    def distinct_threshold(self) -> float:
-        """Legacy name for the graph layer's ``statistic_threshold``."""
-        return self.statistic_threshold
 
     @staticmethod
     def expected_distinct_uniform(n: int, q: int) -> float:
@@ -141,12 +136,8 @@ class EmpiricalDistanceTester(UniformityTester):
         generator = ensure_rng(rng)
         return self._statistics(distribution, trials, generator) <= self.distance_threshold
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"q": self.q}
 
     @property
     def resources(self) -> TesterResources:

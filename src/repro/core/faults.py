@@ -19,6 +19,8 @@ E19 regenerates the comparison.
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 import numpy as np
 
 from ..exceptions import InvalidParameterError
@@ -43,6 +45,9 @@ class StuckAtPlayer(PlayerStrategy):
         matrix = np.asarray(samples)
         rows = matrix.shape[0] if matrix.ndim == 2 else 1
         return np.full(rows, self.stuck_bit, dtype=np.int64)
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"stuck_bit": self.stuck_bit}
 
     @property
     def name(self) -> str:
@@ -69,6 +74,12 @@ class FlippingPlayer(PlayerStrategy):
         bits = self.honest.respond_batch(samples, generator)
         flips = generator.random(bits.shape) < self.flip_probability
         return np.where(flips, 1 - bits, bits).astype(np.int64)
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {
+            "flip_probability": self.flip_probability,
+            "honest": self.honest.cache_token,
+        }
 
     @property
     def name(self) -> str:

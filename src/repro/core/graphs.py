@@ -34,7 +34,6 @@ whose ``accept_block`` runs through the engine's
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -99,6 +98,7 @@ class ComparisonGraph:
         keys = self.edge_u * self.num_vertices + self.edge_v
         if np.unique(keys).size != keys.size:
             raise InvalidParameterError("duplicate edges are not allowed")
+        self._content_hash: Optional[str] = None
 
     @property
     def num_edges(self) -> int:
@@ -119,12 +119,15 @@ class ComparisonGraph:
         return int((degrees * (degrees - 1) // 2).sum())
 
     def content_hash(self) -> str:
-        """Stable identity of the exact comparison structure."""
-        digest = hashlib.sha256()
-        digest.update(str(self.num_vertices).encode("utf-8"))
-        digest.update(self.edge_u.tobytes())
-        digest.update(self.edge_v.tobytes())
-        return digest.hexdigest()[:16]
+        """Stable identity of the exact comparison structure (memoised:
+        protocol tokens hash one graph per player)."""
+        if self._content_hash is None:
+            digest = hashlib.sha256()
+            digest.update(str(self.num_vertices).encode("utf-8"))
+            digest.update(self.edge_u.tobytes())
+            digest.update(self.edge_v.tobytes())
+            self._content_hash = digest.hexdigest()[:16]
+        return self._content_hash
 
     def __repr__(self) -> str:
         return (
@@ -410,9 +413,8 @@ def statistic_alarm_probabilities(
     """``(p₀, p₁)``: alarm probabilities of ``Y_G > threshold`` under
     ``U_n`` and under the worst-case ε-far proxy, by Monte Carlo.
 
-    The draw order (uniform matrix first, then the proxy's) matches the
-    legacy :func:`~repro.core.testers.collision_bit_probabilities`
-    exactly, so complete-graph calibrations are bit-identical to it.
+    The draw order is the uniform matrix first, then the proxy's, on one
+    shared generator.
     """
     if trials < 100:
         raise InvalidParameterError(f"trials must be >= 100, got {trials}")
@@ -443,11 +445,9 @@ def calibrate_statistic_threshold(
     a closed-form ``P[Y_G = 0]`` the ``t = 0`` case is decided exactly
     without spending any Monte Carlo draws; otherwise — and for every
     higher ``t`` — the tail is estimated from ``trials`` draws padded by
-    one standard error so the calibration errs conservative.  This is
-    the graph-general form of the legacy per-player helper
-    :func:`~repro.core.players.calibrate_collision_threshold` (now a
-    wrapper over this function with the complete graph), which the
-    AND-rule tester calls with ``max_reject_probability = 1/(3k)``.
+    one standard error so the calibration errs conservative.  The
+    AND-rule tester calls this on ``K_q`` with
+    ``max_reject_probability = 1/(3k)``.
     """
     if not 0.0 < max_reject_probability <= 1.0:
         raise InvalidParameterError(
@@ -488,8 +488,7 @@ def calibrate_dithered_statistic(
     at ``Y_G == t`` — the integer-valued statistic can only realise a
     discrete set of deterministic rates, and the dither interpolates
     between them (what the forced-T threshold tester needs for exact
-    completeness calibration).  Graph-general form of the legacy
-    :func:`~repro.core.players.calibrate_dithered_collision`.
+    completeness calibration).
     """
     if not 0.0 < target_alarm_rate <= 1.0:
         raise InvalidParameterError(
@@ -548,10 +547,10 @@ class GraphStatisticPlayer(PlayerStrategy):
 
     Accepts (sends 1) iff the statistic is on the uniform side of the
     threshold: ``Y_G <= t`` in edge mode, ``D_G >= t`` in distinct mode.
-    With the complete graph and edge mode this is exactly
-    :class:`~repro.core.players.CollisionBitPlayer` — the network layer
-    instantiates it per family so any registered graph can drive the
-    distributed protocol's alarm bits.
+    With the complete graph and edge mode this is the classical collision
+    bit ``K <= t`` of the threshold- and AND-rule testers; the network
+    layer instantiates it per family so any registered graph can drive
+    the distributed protocol's alarm bits.
     """
 
     def __init__(self, graph: ComparisonGraph, threshold: float, mode: str = "edges"):
@@ -566,6 +565,14 @@ class GraphStatisticPlayer(PlayerStrategy):
         if self.mode == "distinct":
             return (statistics >= self.threshold).astype(np.int64)
         return (statistics <= self.threshold).astype(np.int64)
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {
+            "family": self.graph.family,
+            "graph": self.graph.content_hash(),
+            "mode": self.mode,
+            "threshold": self.threshold,
+        }
 
     @property
     def name(self) -> str:
@@ -636,24 +643,8 @@ class ComparisonGraphTester(UniformityTester):
             return statistics >= self.statistic_threshold
         return statistics <= self.statistic_threshold
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
-
-    @property
-    def cache_token(self) -> Dict[str, Any]:
-        from ..engine import KERNEL_SCHEMA_VERSION
-
+    def _token_fields(self) -> Dict[str, Any]:
         return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "tester",
-            "class": type(self).__name__,
-            "kernel_version": int(self.kernel_version),
-            "n": self.n,
-            "epsilon": self.epsilon,
             "q": self.q,
             "mode": self.mode,
             "family": self.graph.family,

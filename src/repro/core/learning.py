@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -113,6 +113,11 @@ class HitCountingLearner:
         if q < 1:
             raise InvalidParameterError(f"q must be >= 1, got {q}")
         self.n, self.k, self.q = int(n), int(k), int(q)
+
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        """Exact identity of the learner's configuration."""
+        return {"class": type(self).__name__, "n": self.n, "k": self.k, "q": self.q}
 
     def learn(
         self, distribution: DiscreteDistribution, rng: RngLike = None
@@ -216,6 +221,17 @@ class FrequencyDitheringLearner:
         self.n, self.k, self.q = int(n), int(k), int(q)
         self.window = window_scale * max(1.0 / n, math.sqrt(1.0 / (n * q)))
 
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        """Exact identity of the learner's configuration."""
+        return {
+            "class": type(self).__name__,
+            "n": self.n,
+            "k": self.k,
+            "q": self.q,
+            "window": self.window,
+        }
+
     def learn(
         self, distribution: DiscreteDistribution, rng: RngLike = None
     ) -> LearningOutcome:
@@ -303,7 +319,8 @@ class LearningSuccessKernel:
     """Accept kernel: one learning run succeeds iff ``l1_error <= delta``.
 
     Lifts any learner exposing ``learn(distribution, rng) ->
-    LearningOutcome`` onto the engine's kernel substrate, so
+    LearningOutcome`` and an exact ``cache_token`` onto the engine's
+    kernel substrate, so
     success-probability sweeps (e.g. empirical player-complexity searches
     for Theorem 1.4) share the cache, chunked streaming and sequential
     early stopping with every other estimator.
@@ -312,9 +329,10 @@ class LearningSuccessKernel:
     def __init__(self, learner: object, delta: float):
         if delta <= 0.0:
             raise InvalidParameterError(f"delta must be > 0, got {delta}")
-        if not hasattr(learner, "learn"):
+        if not (hasattr(learner, "learn") and hasattr(learner, "cache_token")):
             raise InvalidParameterError(
-                f"{type(learner).__name__} exposes no learn() protocol"
+                f"{type(learner).__name__} exposes no learn() protocol "
+                "with a cache_token"
             )
         self.learner = learner
         self.delta = float(delta)
@@ -322,7 +340,6 @@ class LearningSuccessKernel:
     @property
     def cache_token(self) -> dict:
         from ..engine import KERNEL_SCHEMA_VERSION
-        from ..engine.cache import tester_fingerprint
 
         return {
             "schema": KERNEL_SCHEMA_VERSION,
@@ -332,7 +349,7 @@ class LearningSuccessKernel:
             # stream layout than the per-trial learn() loop).
             "kernel_version": 2,
             "delta": self.delta,
-            "learner": tester_fingerprint(self.learner),
+            "learner": self.learner.cache_token,
         }
 
     @property

@@ -14,25 +14,21 @@ sums the quantised levels:
 
 Calibration reuses the exact hard-family equivalence (every ν_z shares its
 collision-count law with the two-level proxy; see
-:func:`~repro.core.testers.worst_case_collision_proxy`).
+:func:`~repro.core.graphs.worst_case_statistic_proxy`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution, uniform
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
+from .graphs import complete_graph, worst_case_statistic_proxy
 from .players import collision_counts
-from .testers import (
-    TesterResources,
-    UniformityTester,
-    default_distributed_q,
-    worst_case_collision_proxy,
-)
+from .testers import TesterResources, UniformityTester, default_distributed_q
 
 
 def quantile_boundaries(
@@ -96,7 +92,7 @@ class MultibitThresholdTester(UniformityTester):
         # Degenerate quantiles (all counts equal) are legal: every message
         # is then the same level and the tester is uninformative but valid.
         self.boundaries = quantile_boundaries(uniform_counts, self.num_levels)
-        far = worst_case_collision_proxy(n, epsilon)
+        far = worst_case_statistic_proxy(complete_graph(2), n, epsilon)
         far_counts = collision_counts(
             far.sample_matrix(calibration_trials, self.q, generator)
         )
@@ -121,12 +117,15 @@ class MultibitThresholdTester(UniformityTester):
         sums = levels.reshape(trials, self.k).sum(axis=1)
         return sums <= self.sum_threshold
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
+    def _token_fields(self) -> Dict[str, Any]:
+        from ..engine.cache import array_digest
 
-        return chunked_accepts(self, distribution, trials, rng)
+        return {
+            "k": self.k,
+            "q": self.q,
+            "boundaries": array_digest(self.boundaries),
+            "sum_threshold": self.sum_threshold,
+        }
 
     @property
     def resources(self) -> TesterResources:

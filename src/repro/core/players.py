@@ -6,63 +6,31 @@ vector: its expectation is ``C(q,2) · ||μ||₂²``, and ε-far distributions
 inflate ``||μ||₂²`` by at least ``ε²/n``.  Every tester in this library is a
 quantisation of K:
 
-* :class:`CollisionBitPlayer` — send 0 ("reject") iff K exceeds a
-  threshold; with threshold 0 this is the "any collision at all" bit that
-  realises the optimal threshold-rule tester of [7];
-* :func:`calibrate_collision_threshold` — pick the threshold so the
-  false-reject probability under the uniform distribution is at most a
-  target (what the AND-rule tester needs: a per-player bias of 1/(3k));
-  since the comparison-graph refactor this (and its dithered twin) are
-  thin deprecated wrappers over :mod:`repro.core.graphs`' calibration
-  API evaluated on the complete graph ``K_q``;
+* :class:`DitheredCollisionBitPlayer` — alarm iff K exceeds a threshold,
+  with a randomised boundary so *any* alarm rate is reachable (the
+  plain thresholded bit is the comparison-graph layer's
+  :class:`~repro.core.graphs.GraphStatisticPlayer` on ``K_q``);
 * :class:`UniqueElementsPlayer` — the distinct-elements alternative
   statistic;
 * :class:`SubsetMembershipPlayer` — the hash bit used by single-sample and
   learning protocols.
 
 All strategies implement a vectorised ``respond_batch`` over a
-(rows × q) sample matrix, which the Monte Carlo harness relies on.
+(rows × q) sample matrix, which the Monte Carlo harness relies on, and an
+exact ``cache_token`` naming every parameter the responses depend on,
+which protocol cache keys compose.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from abc import ABC, abstractmethod
-from typing import Sequence, Set, Tuple
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
-
-#: Legacy entry points that have already warned this process.
-_DEPRECATION_EMITTED: Set[str] = set()
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    """Emit one ``DeprecationWarning`` per legacy entry point per process.
-
-    The legacy collision helpers survive as thin wrappers over the
-    comparison-graph layer (PR-9); warning once — not per call — keeps
-    Monte-Carlo loops that still construct thousands of players quiet
-    after the first notice.
-    """
-    if name in _DEPRECATION_EMITTED:
-        return
-    _DEPRECATION_EMITTED.add(name)
-    warnings.warn(
-        f"{name} is deprecated since the comparison-graph refactor: "
-        f"use {replacement} (repro.core.graphs) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process legacy warnings (test hook)."""
-    _DEPRECATION_EMITTED.clear()
-
 
 def _validate_sample_matrix(samples: np.ndarray) -> np.ndarray:
     matrix = np.asarray(samples, dtype=np.int64)
@@ -181,32 +149,15 @@ class PlayerStrategy(ABC):
         """Human-readable strategy name (used in experiment reports)."""
         return type(self).__name__
 
-
-class CollisionBitPlayer(PlayerStrategy):
-    """Accept iff the collision count is at most ``threshold``.
-
-    ``threshold = 0`` — reject on *any* collision — is the bit behind the
-    optimal threshold-rule tester in the sparse regime; fractional
-    thresholds place the cut at the midpoint between the uniform and ε-far
-    collision means, and large thresholds produce the highly biased bits
-    the AND-rule tester needs.
-    """
-
-    def __init__(self, threshold: float = 0):
-        _warn_legacy(
-            "CollisionBitPlayer",
-            "GraphStatisticPlayer(complete_graph(q), threshold)",
-        )
-        if threshold < 0:
-            raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
-        self.threshold = float(threshold)
-
-    def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        return (collision_counts(samples) <= self.threshold).astype(np.int64)
-
     @property
-    def name(self) -> str:
-        return f"CollisionBitPlayer(threshold={self.threshold})"
+    def cache_token(self) -> Dict[str, Any]:
+        """Exact JSON-serialisable identity: class plus every parameter."""
+        return {"class": type(self).__name__, **self._token_fields()}
+
+    @abstractmethod
+    def _token_fields(self) -> Dict[str, Any]:
+        """Every parameter the responses depend on, at full precision
+        (arrays enter as :func:`~repro.engine.cache.array_digest`)."""
 
 
 class DitheredCollisionBitPlayer(PlayerStrategy):
@@ -239,49 +190,18 @@ class DitheredCollisionBitPlayer(PlayerStrategy):
             alarms = alarms | (boundary & coin)
         return (~alarms).astype(np.int64)
 
+    def _token_fields(self) -> Dict[str, Any]:
+        return {
+            "threshold": self.threshold,
+            "boundary_probability": self.boundary_probability,
+        }
+
     @property
     def name(self) -> str:
         return (
             f"DitheredCollisionBitPlayer(t={self.threshold}, "
             f"gamma={self.boundary_probability:.3f})"
         )
-
-
-def calibrate_dithered_collision(
-    n: int,
-    q: int,
-    target_alarm_rate: float,
-    trials: int = 4000,
-    rng: RngLike = None,
-) -> Tuple[int, float, float]:
-    """Fit a :class:`DitheredCollisionBitPlayer` to an exact alarm rate.
-
-    Returns ``(threshold, boundary_probability, achieved_rate)`` such that
-    under U_n the player alarms with probability ≈ ``target_alarm_rate``:
-    always above the threshold, with the calibrated probability exactly at
-    it.  Rates are estimated from ``trials`` Monte Carlo draws.
-
-    Deprecated thin wrapper over the graph layer's
-    :func:`~repro.core.graphs.calibrate_dithered_statistic` on the
-    complete graph ``K_q`` — same draw order, bit-identical results.
-    """
-    _warn_legacy(
-        "calibrate_dithered_collision",
-        "calibrate_dithered_statistic(complete_graph(q), ...)",
-    )
-    if not 0.0 < target_alarm_rate <= 1.0:
-        raise InvalidParameterError(
-            f"target_alarm_rate must be in (0,1], got {target_alarm_rate}"
-        )
-    if q < 2:
-        # Degenerate legacy behaviour: no pairs, the count is always 0,
-        # and the whole target rate is realised by the boundary dither.
-        return 0, float(target_alarm_rate), float(target_alarm_rate)
-    from .graphs import calibrate_dithered_statistic, complete_graph
-
-    return calibrate_dithered_statistic(
-        complete_graph(q), n, target_alarm_rate, trials=trials, rng=rng
-    )
 
 
 class UniqueElementsPlayer(PlayerStrategy):
@@ -298,6 +218,9 @@ class UniqueElementsPlayer(PlayerStrategy):
 
     def respond_batch(self, samples: np.ndarray, rng: RngLike = None) -> np.ndarray:
         return (unique_counts(samples) >= self.min_unique).astype(np.int64)
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"min_unique": self.min_unique}
 
     @property
     def name(self) -> str:
@@ -317,6 +240,9 @@ class ConstantPlayer(PlayerStrategy):
         rows = matrix.shape[0] if matrix.ndim == 2 else 1
         return np.full(rows, self.bit, dtype=np.int64)
 
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"bit": self.bit}
+
 
 class RandomBitPlayer(PlayerStrategy):
     """Send 1 with probability ``bias``, ignoring the samples entirely.
@@ -335,6 +261,9 @@ class RandomBitPlayer(PlayerStrategy):
         matrix = np.asarray(samples)
         rows = matrix.shape[0] if matrix.ndim == 2 else 1
         return (generator.random(rows) < self.bias).astype(np.int64)
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"bias": self.bias}
 
 
 class SubsetMembershipPlayer(PlayerStrategy):
@@ -365,39 +294,7 @@ class SubsetMembershipPlayer(PlayerStrategy):
         hits = self.indicator[matrix]
         return (hits.max(axis=1) if matrix.shape[1] else np.zeros(matrix.shape[0], dtype=np.int64)).astype(np.int64)
 
+    def _token_fields(self) -> Dict[str, Any]:
+        from ..engine.cache import array_digest
 
-def calibrate_collision_threshold(
-    n: int,
-    q: int,
-    max_reject_probability: float,
-    trials: int = 4000,
-    rng: RngLike = None,
-) -> Tuple[int, float]:
-    """Smallest collision threshold t with P_uniform[K > t] <= target.
-
-    Returns ``(t, estimated_reject_probability)``.  The estimate is Monte
-    Carlo except for ``t = 0``, where the exact birthday formula is used.
-    The AND-rule tester calls this with ``max_reject_probability = 1/(3k)``
-    so the union bound over players keeps completeness above 2/3.
-
-    Deprecated thin wrapper over the graph layer's
-    :func:`~repro.core.graphs.calibrate_statistic_threshold` on the
-    complete graph ``K_q`` — same exact-birthday shortcut, same draw
-    order, bit-identical results.
-    """
-    _warn_legacy(
-        "calibrate_collision_threshold",
-        "calibrate_statistic_threshold(complete_graph(q), ...)",
-    )
-    if not 0.0 < max_reject_probability <= 1.0:
-        raise InvalidParameterError(
-            f"max_reject_probability must be in (0,1], got {max_reject_probability}"
-        )
-    if q < 2:
-        # Degenerate legacy behaviour: no pairs means no collisions ever.
-        return 0, 0.0
-    from .graphs import calibrate_statistic_threshold, complete_graph
-
-    return calibrate_statistic_threshold(
-        complete_graph(q), n, max_reject_probability, trials=trials, rng=rng
-    )
+        return {"indicator": array_digest(self.indicator)}

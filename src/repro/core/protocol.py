@@ -7,9 +7,10 @@ supports:
 
 * exact per-run transcripts (:class:`ProtocolOutcome`) for debugging and
   unit tests;
-* a fully vectorised Monte Carlo path (:meth:`SimultaneousProtocol.
-  acceptance_probability`) that simulates thousands of protocol executions
-  as a single (trials × k × q) tensor — the workhorse of every benchmark;
+* a fully vectorised Monte Carlo path: the protocol is a native
+  :class:`~repro.engine.kernels.AcceptKernel`, and
+  :meth:`SimultaneousProtocol.bits_block` — the one owner of the draw
+  order — simulates a whole RNG block of executions at once;
 * heterogeneous players (different strategies and different sample counts,
   needed by the asymmetric-rate model of Section 6.2).
 """
@@ -17,7 +18,7 @@ supports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -119,9 +120,77 @@ class SimultaneousProtocol:
             for player in self.players
         )
 
+    @property
+    def elements_per_trial(self) -> int:
+        """Tiling hint: samples drawn per execution."""
+        return self.total_samples
+
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        """Exact identity composed of the player and referee tokens.
+
+        The layout is part of the identity: a homogeneous protocol draws
+        one sample matrix for all players, a heterogeneous one draws per
+        player, so equal parameters under the two layouts are distinct
+        computations.
+        """
+        from ..engine import KERNEL_SCHEMA_VERSION
+
+        token: Dict[str, Any] = {
+            "schema": KERNEL_SCHEMA_VERSION,
+            "kind": "protocol",
+            "class": type(self).__name__,
+            "kernel_version": 1,
+            "referee": self.referee.cache_token,
+        }
+        if self.is_homogeneous:
+            first = self.players[0]
+            token["homogeneous"] = {
+                "k": self.num_players,
+                "q": first.num_samples,
+                "strategy": first.strategy.cache_token,
+            }
+        else:
+            token["players"] = [
+                {"q": player.num_samples, "strategy": player.strategy.cache_token}
+                for player in self.players
+            ]
+        return token
+
     # ------------------------------------------------------------------ #
     # execution                                                          #
     # ------------------------------------------------------------------ #
+
+    def bits_block(
+        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
+    ) -> np.ndarray:
+        """(trials × k) player bits for one RNG block.
+
+        The single owner of the protocol's draw order: a homogeneous
+        protocol draws one ``(trials·k) × q`` sample matrix and answers it
+        with one ``respond_batch``; a heterogeneous one draws and answers
+        player by player.
+        """
+        generator = ensure_rng(rng)
+        k = self.num_players
+        if self.is_homogeneous:
+            first = self.players[0]
+            samples = distribution.sample_matrix(
+                trials * k, first.num_samples, generator
+            )
+            return first.strategy.respond_batch(samples, generator).reshape(trials, k)
+        bits = np.empty((trials, k), dtype=np.int64)
+        for index, player in enumerate(self.players):
+            samples = distribution.sample_matrix(trials, player.num_samples, generator)
+            bits[:, index] = player.strategy.respond_batch(samples, generator)
+        return bits
+
+    def accept_block(
+        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
+    ) -> np.ndarray:
+        """Single-tile kernel: one block of bits, then the referee."""
+        bits = self.bits_block(distribution, trials, rng)
+        return np.asarray(self.referee.decide_batch(bits), dtype=bool)
 
     def run_once(
         self, distribution: DiscreteDistribution, rng: RngLike = None
@@ -163,29 +232,26 @@ class SimultaneousProtocol:
         """Boolean accept vector over ``trials`` independent executions.
 
         Execution is delegated to the Monte Carlo engine
-        (:func:`repro.engine.monte_carlo_bits`): trials are cut into
+        (:func:`repro.engine.chunked_accepts`): trials are cut into
         memory-bounded tiles with per-block spawned generators, so the
         result is bit-identical across backends and tile sizes, and the
         full ``trials·k × q`` sample tensor never has to fit in RAM.
         """
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        from ..engine import monte_carlo_bits
+        from ..engine import chunked_accepts
 
-        bits = monte_carlo_bits(self, distribution, trials, rng)
-        return self.referee.decide_batch(bits)
+        return chunked_accepts(self, distribution, trials, rng)
 
     def acceptance_probability(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> float:
         """Monte Carlo estimate of P[referee accepts] against ``distribution``.
 
-        Runs through :func:`repro.engine.estimate_acceptance` (every
-        shipped referee decides row-wise, so the kernel path is
-        bit-identical to :meth:`run_batch` under the same seed).
+        Runs through :func:`repro.engine.estimate_acceptance`, on the same
+        per-block kernel as :meth:`run_batch` (bit-identical under the
+        same seed).
         """
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
         from ..engine import estimate_acceptance
 
         return estimate_acceptance(self, distribution, trials=trials, rng=rng).rate
@@ -197,7 +263,7 @@ class SimultaneousProtocol:
 
         Used by the divergence-accounting experiments (E12) to measure how
         much information each player's bit actually carries.  Shares the
-        engine execution path with :meth:`run_batch`.
+        per-block draw order (:meth:`bits_block`) with :meth:`run_batch`.
         """
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")

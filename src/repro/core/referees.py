@@ -13,13 +13,13 @@ is how much the *shape* of this rule costs:
 
 Every rule implements both a single-shot ``decide`` and a vectorised
 ``decide_batch`` over a (trials × k) bit matrix, which is what the Monte
-Carlo harness uses.
+Carlo harness uses, plus an exact ``cache_token`` of its parameters.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -69,6 +69,20 @@ class DecisionRule(ABC):
         """Human-readable rule name (used in experiment reports)."""
         return type(self).__name__
 
+    @property
+    def cache_token(self) -> Dict[str, Any]:
+        """Exact JSON-serialisable identity: class, width, parameters."""
+        return {
+            "class": type(self).__name__,
+            "num_players": self.num_players,
+            **self._token_fields(),
+        }
+
+    @abstractmethod
+    def _token_fields(self) -> Dict[str, Any]:
+        """Every parameter the decisions depend on, at full precision
+        (arrays enter as :func:`~repro.engine.cache.array_digest`)."""
+
 
 class AndRule(DecisionRule):
     """Accept iff *every* player accepts — the local decision rule.
@@ -82,6 +96,9 @@ class AndRule(DecisionRule):
         matrix = _validate_bits(bits, self.num_players)
         return matrix.all(axis=1)
 
+    def _token_fields(self) -> Dict[str, Any]:
+        return {}
+
 
 class OrRule(DecisionRule):
     """Accept iff at least one player accepts (the AND rule's dual)."""
@@ -89,6 +106,9 @@ class OrRule(DecisionRule):
     def decide_batch(self, bits: np.ndarray) -> np.ndarray:
         matrix = _validate_bits(bits, self.num_players)
         return matrix.any(axis=1)
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {}
 
 
 class ThresholdRule(DecisionRule):
@@ -112,6 +132,9 @@ class ThresholdRule(DecisionRule):
         rejects = matrix.shape[1] - matrix.sum(axis=1)
         return rejects < self.reject_threshold
 
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"reject_threshold": self.reject_threshold}
+
     @property
     def name(self) -> str:
         return f"ThresholdRule(T={self.reject_threshold})"
@@ -123,6 +146,9 @@ class MajorityRule(DecisionRule):
     def decide_batch(self, bits: np.ndarray) -> np.ndarray:
         matrix = _validate_bits(bits, self.num_players)
         return matrix.sum(axis=1) * 2 > matrix.shape[1]
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {}
 
 
 class WeightedCountRule(DecisionRule):
@@ -144,6 +170,11 @@ class WeightedCountRule(DecisionRule):
     def decide_batch(self, bits: np.ndarray) -> np.ndarray:
         matrix = _validate_bits(bits, self.num_players)
         return matrix @ self.weights >= self.threshold
+
+    def _token_fields(self) -> Dict[str, Any]:
+        from ..engine.cache import array_digest
+
+        return {"weights": array_digest(self.weights), "threshold": self.threshold}
 
     @property
     def name(self) -> str:
@@ -185,3 +216,8 @@ class TruthTableRule(DecisionRule):
         matrix = _validate_bits(bits, self.num_players)
         indices = (matrix << np.arange(matrix.shape[1])).sum(axis=1)
         return self.table[indices] == 1
+
+    def _token_fields(self) -> Dict[str, Any]:
+        from ..engine.cache import array_digest
+
+        return {"table": array_digest(self.table)}

@@ -38,7 +38,8 @@ exactly, matching the batch pairwise count for any block partition.
 
 Streaming testers are not :class:`~repro.core.base.UniformityTester`
 subclasses; the :class:`~repro.engine.kernels.StreamingKernel` adapter
-(one more rung on the ``as_kernel`` ladder) turns any of them into an
+(the one case ``as_kernel`` wraps — every batch tester and protocol is
+a native kernel) turns any of them into an
 :class:`~repro.engine.kernels.AcceptKernel` so estimation, SPRT and the
 acceptance cache work unchanged.
 """

@@ -22,8 +22,12 @@ collision-statistic constructions whose optimality the paper establishes:
   public coins give each player a guess, hits deliver exact samples from μ
   to the referee, who runs the centralized tester.
 
-All testers expose ``acceptance_probability`` (vectorised Monte Carlo) and
-a uniform ``resources`` record for the experiment harness.
+All testers natively implement :class:`~repro.engine.kernels.AcceptKernel`
+(``accept_block`` + explicit ``cache_token`` + ``elements_per_trial``)
+and expose ``acceptance_probability`` (vectorised Monte Carlo) and a
+uniform ``resources`` record for the experiment harness; the
+protocol-backed ones (:class:`ProtocolBackedTester`) delegate all three
+to their :class:`~repro.core.protocol.SimultaneousProtocol`.
 
 Since the comparison-graph refactor the coincidence statistics live in
 :mod:`repro.core.graphs`: the centralized tester is the complete-graph
@@ -35,7 +39,7 @@ moment/calibration API (bit-identically to the helpers they replaced).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -52,7 +56,6 @@ from .graphs import (
     statistic_alarm_probabilities,
     calibrate_dithered_statistic,
     calibrate_statistic_threshold,
-    worst_case_statistic_proxy,
 )
 from .players import DitheredCollisionBitPlayer
 from .protocol import SimultaneousProtocol
@@ -69,8 +72,6 @@ __all__ = [
     "SimulationTester",
     "default_centralized_q",
     "default_distributed_q",
-    "worst_case_collision_proxy",
-    "collision_bit_probabilities",
     "max_alarm_rate_for_threshold",
 ]
 
@@ -109,23 +110,16 @@ class AmplifiedTester(UniformityTester):
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
         """Single-tile kernel: R base-kernel votes on one shared generator."""
-        from ..engine import as_kernel
-
         generator = ensure_rng(rng)
-        kernel = as_kernel(self.base)
         votes = np.zeros(trials, dtype=np.int64)
         for _ in range(self.repetitions):
             votes += np.asarray(
-                kernel.accept_block(distribution, trials, generator), dtype=np.int64
+                self.base.accept_block(distribution, trials, generator), dtype=np.int64
             )
         return votes * 2 > self.repetitions
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"repetitions": self.repetitions, "base": self.base.cache_token}
 
     @property
     def resources(self) -> TesterResources:
@@ -161,44 +155,6 @@ class CentralizedCollisionTester(ComparisonGraphTester):
             raise InvalidParameterError(f"q must be >= 2, got {q}")
         super().__init__(n, epsilon, complete_graph(q), mode="edges")
 
-    @property
-    def collision_threshold(self) -> float:
-        """Legacy name for the graph layer's ``statistic_threshold``."""
-        return self.statistic_threshold
-
-
-def worst_case_collision_proxy(n: int, epsilon: float) -> DiscreteDistribution:
-    """Deprecated alias for the graph layer's worst-case proxy.
-
-    Kept for existing call sites; new code should pass its actual graph
-    to :func:`~repro.core.graphs.worst_case_statistic_proxy`, which
-    documents why the two-level construction is exact for *every*
-    comparison-graph statistic (the coincidence-pattern law depends only
-    on the probability multiset).  The single compared pair ``K_2``
-    stands in for the legacy collision-specific reading.
-    """
-    return worst_case_statistic_proxy(complete_graph(2), n, epsilon)
-
-
-def collision_bit_probabilities(
-    n: int,
-    q: int,
-    epsilon: float,
-    threshold: float,
-    trials: int = 3000,
-    rng: RngLike = 0,
-) -> Tuple[float, float]:
-    """(p₀, p₁): alarm probabilities of ``K > threshold`` under U_n and
-    under the worst-case ε-far proxy, estimated by Monte Carlo.
-
-    Deprecated thin wrapper over the graph layer's
-    :func:`~repro.core.graphs.statistic_alarm_probabilities` on the
-    complete graph — same draw order, bit-identical results.
-    """
-    return statistic_alarm_probabilities(
-        complete_graph(q), n, epsilon, threshold, trials=trials, rng=rng
-    )
-
 
 def max_alarm_rate_for_threshold(
     k: int, reject_threshold: int, completeness_error: float = 0.2
@@ -225,7 +181,45 @@ def max_alarm_rate_for_threshold(
     return low
 
 
-class ThresholdRuleTester(UniformityTester):
+class ProtocolBackedTester(UniformityTester):
+    """A tester whose every execution is one run of a simultaneous protocol.
+
+    Subclasses build ``self._protocol`` (players + calibrated referee);
+    the kernel, its tiling hint and its cache token delegate to it, so a
+    fault-injected copy (:func:`~repro.core.faults.inject_faults`) keys
+    its own acceptance curve.
+    """
+
+    _protocol: SimultaneousProtocol
+
+    @property
+    def protocol(self) -> SimultaneousProtocol:
+        """The underlying simultaneous protocol (players + referee)."""
+        return self._protocol
+
+    def accept_block(
+        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
+    ) -> np.ndarray:
+        return self._protocol.accept_block(distribution, trials, rng)
+
+    @property
+    def elements_per_trial(self) -> int:
+        return self._protocol.elements_per_trial
+
+    @property
+    def resources(self) -> TesterResources:
+        # One bit per player; heterogeneous budgets report the largest.
+        return TesterResources(
+            num_players=self._protocol.num_players,
+            samples_per_player=max(p.num_samples for p in self._protocol.players),
+            message_bits=1,
+        )
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"protocol": self._protocol.cache_token}
+
+
+class ThresholdRuleTester(ProtocolBackedTester):
     """The threshold-rule tester of [7]: optimal for any decision rule.
 
     Every player cuts its collision count at the midpoint between the
@@ -234,7 +228,7 @@ class ThresholdRuleTester(UniformityTester):
     rejects iff at least T players alarm.  T is calibrated at the midpoint
     ``k(p₀+p₁)/2`` of the alarm probabilities under U_n and under the
     worst-case ε-far proxy (exact for the whole hard family ν_z — see
-    :func:`worst_case_collision_proxy`).
+    :func:`~repro.core.graphs.worst_case_statistic_proxy`).
 
     With ``forced_T`` the referee threshold is fixed (Theorem 1.3's
     setting) and instead the *player* bit is re-calibrated to be biased
@@ -291,9 +285,6 @@ class ThresholdRuleTester(UniformityTester):
             )
             return
 
-        # Internal construction goes through the graph player (the legacy
-        # CollisionBitPlayer now warns); on K_q the responses are
-        # bit-identical.
         player = GraphStatisticPlayer(
             player_graph, self.player_collision_threshold
         )
@@ -302,24 +293,8 @@ class ThresholdRuleTester(UniformityTester):
             player, self.k, self.q, referee
         )
 
-    @property
-    def protocol(self) -> SimultaneousProtocol:
-        """The underlying simultaneous protocol (players + referee)."""
-        return self._protocol
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        return self._protocol.run_batch(distribution, trials, rng)
-
-    @property
-    def resources(self) -> TesterResources:
-        return TesterResources(
-            num_players=self.k, samples_per_player=self.q, message_bits=1
-        )
-
-
-class AndRuleTester(UniformityTester):
+class AndRuleTester(ProtocolBackedTester):
     """The AND-rule (local decision) tester of [7].
 
     Each player's bit is calibrated so its false-alarm probability under
@@ -357,22 +332,6 @@ class AndRuleTester(UniformityTester):
         player = GraphStatisticPlayer(complete_graph(self.q), float(threshold))
         self._protocol = SimultaneousProtocol.homogeneous(
             player, self.k, self.q, AndRule(num_players=self.k)
-        )
-
-    @property
-    def protocol(self) -> SimultaneousProtocol:
-        """The underlying simultaneous protocol (players + referee)."""
-        return self._protocol
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        return self._protocol.run_batch(distribution, trials, rng)
-
-    @property
-    def resources(self) -> TesterResources:
-        return TesterResources(
-            num_players=self.k, samples_per_player=self.q, message_bits=1
         )
 
 
@@ -432,13 +391,6 @@ class PairwiseHashTester(UniformityTester):
         # statistic on the group's messages.
         self._group_graph = complete_graph(self.group_size)
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
-
     #: v2: public hashes drawn as one batched argsort of uniform keys
     #: (same law — a uniform random permutation of the balanced bucket
     #: pattern per (trial, group) — but a different draw order).
@@ -484,6 +436,13 @@ class PairwiseHashTester(UniformityTester):
         )
         return statistics <= cutoff
 
+    def _token_fields(self) -> Dict[str, Any]:
+        return {
+            "k": self.k,
+            "message_bits": self.message_bits,
+            "num_groups": self.num_groups,
+        }
+
     @property
     def elements_per_trial(self) -> int:
         # The per-(trial, group) uniform key matrix dominates the
@@ -514,13 +473,6 @@ class SimulationTester(UniformityTester):
             raise InvalidParameterError(f"k must be >= 1, got {k}")
         self.k = int(k)
 
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        from ..engine import chunked_accepts
-
-        return chunked_accepts(self, distribution, trials, rng)
-
     def accept_block(
         self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
     ) -> np.ndarray:
@@ -550,6 +502,9 @@ class SimulationTester(UniformityTester):
         thresholds = pairs * (1.0 + self.epsilon**2 / 2.0) / self.n
         # Fewer than two collected samples is not enough evidence to reject.
         return (collected_counts < 2) | (pair_counts <= thresholds)
+
+    def _token_fields(self) -> Dict[str, Any]:
+        return {"k": self.k}
 
     @property
     def elements_per_trial(self) -> int:

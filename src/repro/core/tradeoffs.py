@@ -16,14 +16,17 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..distributions.discrete import DiscreteDistribution
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike
-from .graphs import GraphStatisticPlayer, complete_graph
+from .graphs import (
+    GraphStatisticPlayer,
+    complete_graph,
+    statistic_alarm_probabilities,
+)
 from .players import ConstantPlayer
 from .protocol import Player, SimultaneousProtocol
 from .referees import WeightedCountRule
-from .testers import TesterResources, UniformityTester
+from .testers import ProtocolBackedTester
 
 
 def rate_profile_norm(rates: Sequence[float]) -> float:
@@ -44,7 +47,7 @@ def optimal_time_budget(n: int, epsilon: float, rates: Sequence[float], multipli
     return multiplier * math.sqrt(n) / (epsilon**2 * norm)
 
 
-class AsymmetricRateTester(UniformityTester):
+class AsymmetricRateTester(ProtocolBackedTester):
     """Uniformity testing with heterogeneous sampling rates.
 
     Player i draws ``q_i = round(rates[i] · tau)`` samples and sends the
@@ -84,8 +87,6 @@ class AsymmetricRateTester(UniformityTester):
                 "no player collects >= 2 samples; tau or rates too small"
             )
 
-        from .testers import collision_bit_probabilities
-
         probabilities_by_q = {}
         thresholds_by_q = {}
         # Deduplicate via sorted() so the per-q calibration consumes
@@ -97,8 +98,13 @@ class AsymmetricRateTester(UniformityTester):
             if q < 2:
                 probabilities_by_q[q] = (0.0, 0.0)
             else:
-                probabilities_by_q[q] = collision_bit_probabilities(
-                    n, q, epsilon, threshold, calibration_trials, calibration_rng
+                probabilities_by_q[q] = statistic_alarm_probabilities(
+                    complete_graph(q),
+                    n,
+                    epsilon,
+                    threshold,
+                    calibration_trials,
+                    calibration_rng,
                 )
         uniform_alarms = sum(probabilities_by_q[q][0] for q in self.sample_counts)
         far_alarms = sum(probabilities_by_q[q][1] for q in self.sample_counts)
@@ -107,9 +113,8 @@ class AsymmetricRateTester(UniformityTester):
         reject_cutoff = 0.5 * (uniform_alarms + far_alarms)
 
         k = rate_arr.size
-        # q < 2 slots see no sample pairs, so the legacy collision bit was
-        # identically 1 — ConstantPlayer(1) keeps that bit-exact; richer
-        # slots go through the graph player (K_q, same responses).
+        # q < 2 slots see no sample pairs, so their collision bit is
+        # identically 1 (ConstantPlayer); richer slots run the K_q bit.
         players = [
             Player(
                 GraphStatisticPlayer(complete_graph(q), thresholds_by_q[q])
@@ -122,25 +127,6 @@ class AsymmetricRateTester(UniformityTester):
         # Accept iff (# accept bits) > k - cutoff, i.e. (# alarms) < cutoff.
         referee = WeightedCountRule(np.ones(k), threshold=k - reject_cutoff + 1e-9)
         self._protocol = SimultaneousProtocol(players, referee)
-
-    @property
-    def protocol(self) -> SimultaneousProtocol:
-        """The underlying heterogeneous protocol."""
-        return self._protocol
-
-    def accept_batch(
-        self, distribution: DiscreteDistribution, trials: int, rng: RngLike = None
-    ) -> np.ndarray:
-        return self._protocol.run_batch(distribution, trials, rng)
-
-    @property
-    def resources(self) -> TesterResources:
-        # samples_per_player is not meaningful here; report the maximum.
-        return TesterResources(
-            num_players=len(self.sample_counts),
-            samples_per_player=max(self.sample_counts),
-            message_bits=1,
-        )
 
     @property
     def total_samples(self) -> int:

@@ -18,8 +18,6 @@ from .cache import (
     AcceptanceCache,
     distribution_fingerprint,
     kernel_probe_key,
-    probe_key,
-    tester_fingerprint,
 )
 from .chunking import (
     RNG_BLOCK_TRIALS,
@@ -40,7 +38,6 @@ from .config import (
 from .estimate import AcceptanceEstimate, SprtSpec, estimate_acceptance
 from .executor import (
     block_seed,
-    cached_acceptance_rate,
     chunked_accepts,
     derive_root_entropy,
     monte_carlo_bits,
@@ -49,9 +46,7 @@ from .kernels import (
     KERNEL_SCHEMA_VERSION,
     AcceptKernel,
     BernoulliKernel,
-    ProtocolKernel,
     StreamingKernel,
-    TesterKernel,
     as_kernel,
     kernel_label,
 )
@@ -73,14 +68,10 @@ __all__ = [
     "make_backend",
     "AcceptanceCache",
     "distribution_fingerprint",
-    "tester_fingerprint",
-    "probe_key",
     "kernel_probe_key",
     "AcceptKernel",
     "KERNEL_SCHEMA_VERSION",
     "BernoulliKernel",
-    "TesterKernel",
-    "ProtocolKernel",
     "StreamingKernel",
     "as_kernel",
     "kernel_label",
@@ -101,7 +92,6 @@ __all__ = [
     "set_engine",
     "monte_carlo_bits",
     "chunked_accepts",
-    "cached_acceptance_rate",
     "block_seed",
     "derive_root_entropy",
     "EngineMetrics",

@@ -8,12 +8,12 @@ small JSON file per probe under a content-addressed name.
 
 Keys combine:
 
-* a **kernel cache token** — the stable identity of the computation
-  (kernel kind + per-kernel version + tester fingerprint: class name,
-  every primitive constructor outcome, and, for protocol-backed testers,
-  the player/referee description).  Because the token names the *kind* of
-  kernel, a closeness or network curve can never collide with a protocol
-  curve that happens to share (n, q, k, seed);
+* a **kernel cache token** — the stable identity of the computation,
+  which every kernel builds from explicit fields (kernel kind, class,
+  per-kernel version and every parameter at full precision; protocols
+  compose their players' and referee's tokens).  Because the token names
+  the *kind* of kernel, a closeness or network curve can never collide
+  with a protocol curve that happens to share (n, q, k, seed);
 * a **distribution fingerprint** — SHA-256 of the exact pmf bytes;
 * the estimation **mode** — fixed trial budget or SPRT spec;
 * the derived root-entropy seed identity.
@@ -45,48 +45,18 @@ def distribution_fingerprint(distribution: Any) -> str:
     return f"n{distribution.n}-{digest.hexdigest()[:24]}"
 
 
-def _primitive_items(obj: Any) -> Dict[str, Any]:
-    items: Dict[str, Any] = {}
-    for key, value in sorted(vars(obj).items()):
-        if isinstance(value, (bool, int, float, str)) or value is None:
-            items[key] = value
-        elif isinstance(value, (np.integer, np.floating)):
-            items[key] = value.item()
-    return items
+def array_digest(array: Any) -> str:
+    """Exact identity of an array parameter: SHA-256 of dtype, shape, bytes.
 
-
-def protocol_fingerprint(protocol: Any) -> Dict[str, Any]:
-    """Stable description of a :class:`SimultaneousProtocol`."""
-    players = [
-        {"strategy": player.strategy.name, "q": player.num_samples}
-        for player in protocol.players
-    ]
-    return {
-        "players": players,
-        "referee": {
-            "name": protocol.referee.name,
-            **_primitive_items(protocol.referee),
-        },
-    }
-
-
-def tester_fingerprint(tester: Any) -> Dict[str, Any]:
-    """Stable description of a tester (or raw protocol) configuration."""
-    parts: Dict[str, Any] = {"class": type(tester).__name__}
-    if hasattr(tester, "players") and hasattr(tester, "referee"):
-        parts.update(protocol_fingerprint(tester))
-        return parts
-    parts.update(_primitive_items(tester))
-    base = getattr(tester, "base", None)
-    if base is not None:
-        parts["base"] = tester_fingerprint(base)
-    inner = getattr(tester, "uniformity_tester", None)
-    if inner is not None:
-        parts["inner"] = tester_fingerprint(inner)
-    protocol = getattr(tester, "_protocol", None)
-    if protocol is not None:
-        parts["protocol"] = protocol_fingerprint(protocol)
-    return parts
+    Strategy, referee and tester cache tokens enter array-valued
+    parameters (subset indicators, referee weights, level boundaries)
+    through this, so two configurations share a token only when every
+    element is bit-equal.
+    """
+    values = np.ascontiguousarray(array)
+    digest = hashlib.sha256(f"{values.dtype.str}{values.shape}".encode("utf-8"))
+    digest.update(values.tobytes())
+    return digest.hexdigest()
 
 
 def seed_fingerprint(seed: np.random.SeedSequence) -> str:
@@ -114,29 +84,6 @@ def kernel_probe_key(
         ),
         "mode": mode,
         "seed": str(int(root_entropy)),
-    }
-
-
-def probe_key(
-    tester: Any,
-    distribution: Any,
-    trials: int,
-    seed: np.random.SeedSequence,
-) -> Dict[str, Any]:
-    """The cache key for one fixed-budget acceptance-rate probe.
-
-    Compatibility wrapper over :func:`kernel_probe_key`: the tester is
-    lifted onto the kernel substrate so the key includes kernel identity
-    and version.
-    """
-    from .kernels import as_kernel
-
-    return {
-        "version": CACHE_VERSION,
-        "kernel": dict(as_kernel(tester).cache_token),
-        "distribution": distribution_fingerprint(distribution),
-        "mode": {"trials": int(trials)},
-        "seed": seed_fingerprint(seed),
     }
 
 
@@ -201,24 +148,6 @@ class AcceptanceCache:
     def put_estimate(self, key: Dict[str, Any], estimate: Dict[str, Any]) -> str:
         """Persist one full estimate payload; returns the entry path."""
         return self._write(key, {"key": key, "estimate": dict(estimate)})
-
-    def get_rate(self, key: Dict[str, Any]) -> Optional[float]:
-        """The memoised acceptance rate, or ``None`` on a miss.
-
-        Reads both bare-rate entries (``put_rate``) and full estimate
-        entries (``put_estimate``).
-        """
-        payload = self._read(key)
-        if payload is None:
-            return None
-        rate = payload.get("rate")
-        if rate is None and isinstance(payload.get("estimate"), dict):
-            rate = payload["estimate"].get("rate")
-        return float(rate) if isinstance(rate, (int, float)) else None
-
-    def put_rate(self, key: Dict[str, Any], rate: float) -> str:
-        """Persist one bare probe rate; returns the entry path."""
-        return self._write(key, {"key": key, "rate": float(rate)})
 
     def __len__(self) -> int:
         return len(

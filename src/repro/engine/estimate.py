@@ -39,10 +39,9 @@ from .cache import kernel_probe_key
 from .chunking import Block, plan_blocks, plan_tiles
 from .config import get_engine
 from .executor import (
-    _accepts_tile,
-    _dispatch,
     _use_auto_tiling,
     autosize_tiles,
+    chunked_accepts,
     derive_root_entropy,
 )
 from .kernels import AcceptKernel, as_kernel, kernel_label
@@ -151,14 +150,7 @@ def _cacheable_seed(rng: RngLike) -> bool:
 def _estimate_fixed(
     kernel: AcceptKernel, distribution: Any, trials: int, root_entropy: int
 ) -> AcceptanceEstimate:
-    accepts = _dispatch(
-        _accepts_tile,
-        kernel,
-        distribution,
-        trials,
-        root_entropy,
-        kernel.elements_per_trial,
-    )
+    accepts = chunked_accepts(kernel, distribution, trials, root_entropy)
     successes = int(np.asarray(accepts, dtype=bool).sum())
     return AcceptanceEstimate(
         rate=successes / trials, trials_used=trials, successes=successes
@@ -308,8 +300,8 @@ def estimate_acceptance(
 
     Exactly one of ``trials`` (fixed budget) and ``sprt`` (sequential
     classification) must be given.  ``kernel`` may be anything
-    :func:`~repro.engine.kernels.as_kernel` adapts — a native kernel, a
-    chunked tester, or a protocol-backed tester.
+    :func:`~repro.engine.kernels.as_kernel` accepts — any native kernel
+    (every tester and protocol) or a streaming tester.
 
     Determinism: the result is a pure function of ``(kernel cache_token,
     distribution, mode, root entropy)``.  Integer and ``SeedSequence``

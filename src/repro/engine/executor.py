@@ -5,10 +5,9 @@ All batched protocol/tester execution funnels through here:
 * :func:`monte_carlo_bits` — the (trials × k) player-bit matrix of a
   :class:`~repro.core.protocol.SimultaneousProtocol`, computed in
   memory-bounded tiles on the active backend;
-* :func:`chunked_accepts` — the boolean accept vector of any tester that
-  implements ``accept_block`` (a plain single-tile kernel);
-* :func:`cached_acceptance_rate` — a cache-aware acceptance-probability
-  probe used by the empirical complexity searches.
+* :func:`chunked_accepts` — the boolean accept vector of any
+  :class:`~repro.engine.kernels.AcceptKernel` (testers and protocols
+  included), one ``accept_block`` call per RNG block.
 
 Determinism contract
 --------------------
@@ -69,25 +68,14 @@ def _protocol_bits_tile(
     protocol: Any, distribution: Any, tile: Sequence[Block], root_entropy: int
 ) -> Array:
     """Player-bit matrix for one tile (module-level: must pickle)."""
-    k = protocol.num_players
-    pieces: List[Array] = []
-    for block in tile:
-        generator = np.random.default_rng(block_seed(root_entropy, block.index))
-        if protocol.is_homogeneous:
-            strategy = protocol.players[0].strategy
-            q = protocol.players[0].num_samples
-            samples = distribution.sample_matrix(block.trials * k, q, generator)
-            bits = strategy.respond_batch(samples, generator).reshape(
-                block.trials, k
-            )
-        else:
-            bits = np.empty((block.trials, k), dtype=np.int64)
-            for index, player in enumerate(protocol.players):
-                samples = distribution.sample_matrix(
-                    block.trials, player.num_samples, generator
-                )
-                bits[:, index] = player.strategy.respond_batch(samples, generator)
-        pieces.append(bits)
+    pieces: List[Array] = [
+        protocol.bits_block(
+            distribution,
+            block.trials,
+            np.random.default_rng(block_seed(root_entropy, block.index)),
+        )
+        for block in tile
+    ]
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
 
 
@@ -213,40 +201,19 @@ def monte_carlo_bits(
 
 
 def chunked_accepts(
-    runner: Any, distribution: Any, trials: int, rng: RngLike = None
+    kernel: Any, distribution: Any, trials: int, rng: RngLike = None
 ) -> Array:
-    """Boolean accept vector of an ``accept_block`` runner, tiled.
+    """Boolean accept vector of an :class:`~repro.engine.kernels.AcceptKernel`,
+    tiled.
 
-    ``runner`` must expose ``accept_block(distribution, trials,
-    generator)`` — the single-tile kernel — plus either an
-    ``elements_per_trial`` hint (native kernels) or a ``resources``
-    record whose ``total_samples`` sizes the tiles.  The runner is
-    shipped to workers whole, so it must be picklable.
+    Tiles are sized from the kernel's ``elements_per_trial`` hint; the
+    kernel is shipped to workers whole, so it must be picklable.
     """
-    elements = getattr(runner, "elements_per_trial", None)
-    if elements is None:
-        elements = runner.resources.total_samples
     return _dispatch(
         _accepts_tile,
-        runner,
+        kernel,
         distribution,
         trials,
         rng,
-        int(elements),
+        int(kernel.elements_per_trial),
     )
-
-
-def cached_acceptance_rate(
-    tester: Any, distribution: Any, trials: int, seed: np.random.SeedSequence
-) -> float:
-    """P[accept] for one probe, memoised in the active acceptance cache.
-
-    The probe is a pure function of ``(kernel identity, distribution,
-    trials, seed identity)``; with a warm cache it performs **zero**
-    protocol executions, which the :mod:`~repro.engine.metrics` counters
-    make observable.  Thin wrapper over
-    :func:`~repro.engine.estimate.estimate_acceptance`.
-    """
-    from .estimate import estimate_acceptance
-
-    return estimate_acceptance(tester, distribution, trials=trials, rng=seed).rate

@@ -27,18 +27,17 @@ must differ between kernels that could otherwise share every numeric
 parameter — a closeness curve at (n, q) must never collide with a
 protocol curve at the same (n, q).
 
-Adapters
---------
-:func:`as_kernel` lifts the library's existing objects onto the protocol:
+Kernels and the one adapter
+---------------------------
+Every tester (:class:`~repro.core.base.UniformityTester` and the graph
+layer), every :class:`~repro.core.protocol.SimultaneousProtocol`, and
+the closeness / independence / network / learning kernels implement the
+three members natively, so :func:`as_kernel` has two cases only:
 
 * objects already exposing the three members pass through unchanged;
-* chunked testers (``accept_block`` + ``resources``) are wrapped in
-  :class:`TesterKernel`, which derives the token from the engine's tester
-  fingerprint;
-* protocol-backed testers and raw ``SimultaneousProtocol`` instances get
-  a :class:`ProtocolKernel` whose block kernel reproduces the engine's
-  historical draw order bit-for-bit (samples then response bits, block by
-  block, referee applied per block — every shipped referee is row-wise).
+* streaming testers (``init_state``/``update``/``finalize``) are wrapped
+  in :class:`StreamingKernel`, which draws the samples and streams them
+  through the tester's constant-memory state.
 """
 
 from __future__ import annotations
@@ -49,10 +48,12 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
-from .cache import tester_fingerprint
 
 #: Bump when the kernel-token layout itself changes incompatibly.
-KERNEL_SCHEMA_VERSION = 1
+#: Version 2: explicit per-class tokens; protocols compose their
+#: players' and referee's exact tokens (version 1 reflected over
+#: attributes and strategy names, which let distinct protocols collide).
+KERNEL_SCHEMA_VERSION = 2
 
 #: Boolean accept vectors flowing out of kernels.
 BoolArray = np.ndarray
@@ -124,111 +125,6 @@ class BernoulliKernel:
         return generator.random(trials) < self.probability
 
 
-class TesterKernel:
-    """Adapter lifting a chunked tester (``accept_block`` + ``resources``).
-
-    The wrapped tester's own ``accept_block`` *is* the kernel; this class
-    only supplies the token (from the engine's tester fingerprint, so
-    calibration state is covered) and the tiling hint (the tester's total
-    sample budget per execution).
-    """
-
-    def __init__(self, tester: Any):
-        if not hasattr(tester, "accept_block"):
-            raise InvalidParameterError(
-                f"{type(tester).__name__} has no accept_block kernel"
-            )
-        self.tester = tester
-
-    @property
-    def cache_token(self) -> Dict[str, Any]:
-        # Testers that change their accept_block draw order bump a class
-        # attribute kernel_version so stale cached curves cannot be read.
-        return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "tester",
-            "kernel_version": int(getattr(self.tester, "kernel_version", 1)),
-            **tester_fingerprint(self.tester),
-        }
-
-    @property
-    def elements_per_trial(self) -> int:
-        # Prefer the tester's own footprint hint: vectorised kernels can
-        # materialise more than one element per drawn sample (e.g. public
-        # hash tables), and the hint is what keeps tiles memory-bounded.
-        hint = getattr(self.tester, "elements_per_trial", None)
-        if hint is not None:
-            return max(1, int(hint))
-        return int(self.tester.resources.total_samples)
-
-    def accept_block(
-        self, distribution: Any, trials: int, rng: RngLike = None
-    ) -> BoolArray:
-        return np.asarray(self.tester.accept_block(distribution, trials, rng))
-
-    def __repr__(self) -> str:
-        return f"TesterKernel({self.tester!r})"
-
-
-class ProtocolKernel:
-    """Block kernel for protocol-backed testers and raw protocols.
-
-    Reproduces the draw order of the engine's historical
-    ``_protocol_bits_tile`` path exactly — per block: one sample matrix
-    (homogeneous) or one matrix per player (heterogeneous), then the
-    response bits, then the referee — so estimates through this kernel
-    are bit-identical to ``protocol.run_batch(...)`` under the same root
-    entropy (all shipped referees decide row-wise).
-    """
-
-    def __init__(self, owner: Any):
-        protocol = owner
-        if not (hasattr(owner, "players") and hasattr(owner, "referee")):
-            protocol = getattr(owner, "_protocol", None)
-            if protocol is None:
-                raise InvalidParameterError(
-                    f"{type(owner).__name__} exposes no protocol to run"
-                )
-        self._owner = owner
-        self._protocol = protocol
-
-    @property
-    def cache_token(self) -> Dict[str, Any]:
-        return {
-            "schema": KERNEL_SCHEMA_VERSION,
-            "kind": "protocol",
-            "kernel_version": 1,
-            **tester_fingerprint(self._owner),
-        }
-
-    @property
-    def elements_per_trial(self) -> int:
-        return int(self._protocol.total_samples)
-
-    def accept_block(
-        self, distribution: Any, trials: int, rng: RngLike = None
-    ) -> BoolArray:
-        generator = ensure_rng(rng)
-        protocol = self._protocol
-        k = protocol.num_players
-        if protocol.is_homogeneous:
-            strategy = protocol.players[0].strategy
-            q = protocol.players[0].num_samples
-            samples = distribution.sample_matrix(trials * k, q, generator)
-            bits = strategy.respond_batch(samples, generator).reshape(trials, k)
-        else:
-            bits = np.empty((trials, k), dtype=np.int64)
-            for index, player in enumerate(protocol.players):
-                samples = distribution.sample_matrix(
-                    trials, player.num_samples, generator
-                )
-                bits[:, index] = player.strategy.respond_batch(samples, generator)
-        return np.asarray(protocol.referee.decide_batch(bits), dtype=bool)
-
-    def __repr__(self) -> str:
-        return f"ProtocolKernel({type(self._owner).__name__})"
-
-
 class StreamingKernel:
     """Adapter lifting a streaming tester (``init_state``/``update``/
     ``finalize``) onto the kernel protocol.
@@ -255,8 +151,9 @@ class StreamingKernel:
         for member in ("init_state", "update", "finalize"):
             if not hasattr(streaming, member):
                 raise InvalidParameterError(
-                    f"{type(streaming).__name__} has no {member}; not a "
-                    "streaming tester"
+                    f"{type(streaming).__name__} is neither an AcceptKernel "
+                    "(accept_block + cache_token + elements_per_trial) nor a "
+                    f"streaming tester (no {member})"
                 )
         if draw not in ("matrix", "chunked"):
             raise InvalidParameterError(
@@ -316,45 +213,16 @@ class StreamingKernel:
         return f"StreamingKernel({self.streaming!r}, draw={self.draw})"
 
 
-def _is_streaming(obj: Any) -> bool:
-    return (
-        hasattr(obj, "init_state")
-        and hasattr(obj, "update")
-        and hasattr(obj, "finalize")
-    )
-
-
-def _satisfies_protocol(obj: Any) -> bool:
-    return (
-        hasattr(obj, "accept_block")
-        and hasattr(obj, "cache_token")
-        and hasattr(obj, "elements_per_trial")
-    )
-
-
 def as_kernel(obj: Any) -> AcceptKernel:
     """Lift any simulatable object onto the :class:`AcceptKernel` protocol.
 
-    Resolution order: native kernels pass through; streaming testers
-    (``init_state``/``update``/``finalize``) are wrapped in
-    :class:`StreamingKernel`; chunked testers are wrapped in
-    :class:`TesterKernel`; protocol-backed testers (and raw protocols)
-    get a :class:`ProtocolKernel`.  Anything else is an error — there is
+    Native kernels — every tester, protocol and estimator kernel in the
+    library — pass through; anything else must be a streaming tester
+    (``init_state``/``update``/``finalize``) and is wrapped in
+    :class:`StreamingKernel`, which rejects every other object.  There is
     deliberately no fallback that would hide a sequential-RNG estimator
     from the engine's determinism contract.
     """
-    if _satisfies_protocol(obj):
-        return obj  # type: ignore[no-any-return]
-    if _is_streaming(obj):
-        return StreamingKernel(obj)
-    if hasattr(obj, "accept_block") and hasattr(obj, "resources"):
-        return TesterKernel(obj)
-    if (hasattr(obj, "players") and hasattr(obj, "referee")) or hasattr(
-        obj, "_protocol"
-    ):
-        return ProtocolKernel(obj)
-    raise InvalidParameterError(
-        f"{type(obj).__name__} cannot be adapted to an AcceptKernel: "
-        "expose accept_block(distribution, trials, rng) plus cache_token/"
-        "elements_per_trial (or resources), or back it with a protocol"
-    )
+    if isinstance(obj, AcceptKernel):
+        return obj
+    return StreamingKernel(obj)

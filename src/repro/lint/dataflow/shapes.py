@@ -33,9 +33,13 @@ both unknowable here).
 
 Checks (reported through :mod:`repro.lint.rules.shapes`)
 --------------------------------------------------------
-* **RL801** — a ``*_block`` return value provably not ``(trials,)``
+* **RL801** — a kernel entry point (``accept_block``,
+  ``l1_errors_block``) whose return value is provably not ``(trials,)``
   (or provably non-boolean, for ``accept_block``): the classic missing
   ``axis=`` reduction collapsing to a scalar or keeping ``(trials, k)``.
+  Other ``*_block`` helpers of a kernel class (a protocol's
+  ``bits_block`` player-bit matrix) must stay trial-major: a scalar or a
+  leading axis provably not ``trials`` fires.
 * **RL802** — platform- or value-dependent dtype in the accept path or
   cache-keyed data: ``np.int_``-family dtypes, bare ``astype(int)`` /
   ``dtype=int``, and ``==`` tests on provably-float arrays.
@@ -1470,6 +1474,7 @@ class _ShapeInterp:
             return
         trials = poly_sym(self._trials_param)
         accept_like = _is_accept_like(self.function.name)
+        entry_point = is_kernel_function(self.function.name)
         if value.kind == NUM and value.dtype != DT_UNKNOWN:
             self._report(
                 "RL801",
@@ -1480,6 +1485,19 @@ class _ShapeInterp:
             )
             return
         if value.kind != ARRAY or value.shape is None:
+            return
+        if not entry_point and len(value.shape) > 1:
+            # Helper blocks return per-trial rows for the entry point to
+            # reduce; only a leading axis that is provably not ``trials``
+            # breaks the trial-major contract.
+            if value.shape[0] is not None and value.shape[0] != trials:
+                self._report(
+                    "RL801",
+                    node,
+                    f"{self.function.name} returns shape "
+                    f"{format_shape(value.shape)}, not trial-major "
+                    f"({self._trials_param}, ...); keep the trial axis first",
+                )
             return
         if len(value.shape) != 1 or (
             value.shape[0] is not None and value.shape[0] != trials

@@ -134,17 +134,15 @@ def _seeded_success(
     whole re-runs, and results are bit-identical across backends and
     chunk sizes.
     """
-    from ..engine import cached_acceptance_rate
+    from ..engine import estimate_acceptance
 
-    def probe_seed(side: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
+    def rate(distribution: DiscreteDistribution, side: int) -> float:
+        seed = np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
+        return estimate_acceptance(tester, distribution, trials=trials, rng=seed).rate
 
-    success = cached_acceptance_rate(
-        tester, uniform(tester.n), trials, probe_seed(0)
-    )
+    success = rate(uniform(tester.n), 0)
     for index, far in enumerate(alternatives):
-        rate = cached_acceptance_rate(tester, far, trials, probe_seed(index + 1))
-        success = min(success, 1.0 - rate)
+        success = min(success, 1.0 - rate(far, index + 1))
     return success
 
 

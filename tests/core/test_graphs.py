@@ -33,8 +33,6 @@ from repro.core.graphs import (
     bipartite_graph,
     build_family_graph,
     calibrate_distinct_threshold,
-    calibrate_dithered_statistic,
-    calibrate_statistic_threshold,
     complete_graph,
     cycle_graph,
     exact_no_collision_probability,
@@ -46,22 +44,11 @@ from repro.core.graphs import (
     random_regular_graph,
     snap_family_size,
     star_graph,
-    statistic_alarm_probabilities,
     uniform_statistic_moments,
     worst_case_statistic_proxy,
 )
-from repro.core.players import (
-    CollisionBitPlayer,
-    calibrate_collision_threshold,
-    calibrate_dithered_collision,
-    collision_counts,
-    unique_counts,
-)
-from repro.core.testers import (
-    CentralizedCollisionTester,
-    collision_bit_probabilities,
-    worst_case_collision_proxy,
-)
+from repro.core.players import collision_counts, unique_counts
+from repro.core.testers import CentralizedCollisionTester
 from repro.distributions.discrete import uniform
 from repro.exceptions import InvalidParameterError
 
@@ -251,7 +238,6 @@ class TestLegacyEquivalence:
         tester = CentralizedCollisionTester(N, EPS)
         pairs = tester.q * (tester.q - 1) / 2.0
         assert tester.statistic_threshold == pairs * (1.0 + EPS**2 / 2.0) / N
-        assert tester.collision_threshold == tester.statistic_threshold
 
     @pytest.mark.parametrize("seed", [0, 42])
     def test_collision_tester_accept_block_is_legacy_kernel(self, seed):
@@ -278,7 +264,7 @@ class TestLegacyEquivalence:
                 3000, 12, generator
             )
         ).mean()
-        assert tester.distinct_threshold == 0.5 * (
+        assert tester.statistic_threshold == 0.5 * (
             float(uniform_mean) + float(far_mean)
         )
 
@@ -288,7 +274,7 @@ class TestLegacyEquivalence:
         for dist in (UNIFORM, FAR):
             verdicts = tester.accept_block(dist, 300, default_rng(seed))
             samples = dist.sample_matrix(300, 12, default_rng(seed))
-            legacy = unique_counts(samples) >= tester.distinct_threshold
+            legacy = unique_counts(samples) >= tester.statistic_threshold
             assert np.array_equal(verdicts, legacy)
 
     def test_graph_tester_equals_subclass_wiring(self):
@@ -313,41 +299,19 @@ class TestLegacyEquivalence:
             )
 
     def test_worst_case_collision_proxy_is_graph_proxy(self):
-        legacy = worst_case_collision_proxy(N, EPS)
+        """The collision proxy (``K_2``, as the multibit calibration uses
+        it) is the same distribution for every comparison graph."""
+        collision = worst_case_statistic_proxy(complete_graph(2), N, EPS)
         graph = worst_case_statistic_proxy(cycle_graph(5), N, EPS)
-        assert np.array_equal(legacy.pmf, graph.pmf)
-
-    def test_collision_bit_probabilities_wraps_alarm_probabilities(self):
-        legacy = collision_bit_probabilities(N, 12, EPS, 3.0, trials=500, rng=4)
-        general = statistic_alarm_probabilities(
-            complete_graph(12), N, EPS, 3.0, trials=500, rng=4
-        )
-        assert legacy == general
-
-    def test_calibration_wrappers_delegate_to_graph_api(self):
-        assert calibrate_collision_threshold(
-            N, 8, 0.2, trials=400, rng=1
-        ) == calibrate_statistic_threshold(
-            complete_graph(8), N, 0.2, trials=400, rng=1
-        )
-        assert calibrate_dithered_collision(
-            N, 8, 0.3, trials=400, rng=2
-        ) == calibrate_dithered_statistic(
-            complete_graph(8), N, 0.3, trials=400, rng=2
-        )
-
-    def test_calibration_wrappers_keep_degenerate_q_behaviour(self):
-        assert calibrate_collision_threshold(N, 1, 0.2) == (0, 0.0)
-        assert calibrate_dithered_collision(N, 0, 0.3) == (0, 0.3, 0.3)
+        assert np.array_equal(collision.pmf, graph.pmf)
 
     @pytest.mark.parametrize("seed", [0, 42])
     def test_graph_player_is_collision_bit_player(self, seed):
         samples = UNIFORM.sample_matrix(200, 8, default_rng(seed))
         graph_player = GraphStatisticPlayer(complete_graph(8), 2.0)
-        legacy_player = CollisionBitPlayer(threshold=2.0)
         assert np.array_equal(
             graph_player.respond_batch(samples),
-            legacy_player.respond_batch(samples),
+            (collision_counts(samples) <= 2.0).astype(np.int64),
         )
 
 
@@ -375,6 +339,15 @@ class TestTesterKernelContracts:
         a = ComparisonGraphTester(N, EPS, cycle_graph(9))
         b = ComparisonGraphTester(N, EPS, cycle_graph(9), threshold=99.0)
         assert a.cache_token != b.cache_token
+        # The graph player's token carries graph, mode and exact cut too.
+        players = [
+            GraphStatisticPlayer(cycle_graph(9), 1.0),
+            GraphStatisticPlayer(cycle_graph(9), 1.0 + 1e-9),
+            GraphStatisticPlayer(star_graph(9), 1.0),
+            GraphStatisticPlayer(cycle_graph(9), 1.0, mode="distinct"),
+        ]
+        tokens = [repr(sorted(p.cache_token.items())) for p in players]
+        assert len(set(tokens)) == len(tokens)
 
     def test_resources_and_elements_per_trial(self):
         dense = ComparisonGraphTester(N, EPS, complete_graph(9))

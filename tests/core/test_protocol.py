@@ -7,12 +7,13 @@ import pytest
 
 from repro.core import (
     AndRule,
-    CollisionBitPlayer,
     ConstantPlayer,
+    GraphStatisticPlayer,
     Player,
     RandomBitPlayer,
     SimultaneousProtocol,
     ThresholdRule,
+    complete_graph,
 )
 from repro.distributions import SampleOracle, point_mass, uniform
 from repro.exceptions import (
@@ -22,9 +23,14 @@ from repro.exceptions import (
 )
 
 
+def collision_bit(q, threshold=0):
+    """The "no collision among my q samples" bit (K_q statistic)."""
+    return GraphStatisticPlayer(complete_graph(q), threshold)
+
+
 def make_protocol(k=4, q=8, referee=None):
     return SimultaneousProtocol.homogeneous(
-        CollisionBitPlayer(threshold=0), k, q, referee or AndRule()
+        collision_bit(q), k, q, referee or AndRule()
     )
 
 
@@ -37,8 +43,8 @@ class TestConstruction:
 
     def test_heterogeneous_detection(self):
         players = [
-            Player(CollisionBitPlayer(0), 4),
-            Player(CollisionBitPlayer(0), 8),
+            Player(collision_bit(4), 4),
+            Player(collision_bit(8), 8),
         ]
         protocol = SimultaneousProtocol(players, AndRule())
         assert not protocol.is_homogeneous
@@ -100,8 +106,8 @@ class TestExecution:
 
     def test_heterogeneous_batch(self):
         players = [
-            Player(CollisionBitPlayer(0), 2),
-            Player(CollisionBitPlayer(0), 16),
+            Player(collision_bit(2), 2),
+            Player(collision_bit(16), 16),
         ]
         protocol = SimultaneousProtocol(players, ThresholdRule(2, num_players=2))
         accepts = protocol.run_batch(uniform(16), trials=30, rng=0)

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 import repro
 from repro.core import (
     AndRule,
-    CollisionBitPlayer,
     ConstantPlayer,
+    GraphStatisticPlayer,
     MajorityRule,
     OrRule,
     SimultaneousProtocol,
     ThresholdRule,
     TruthTableRule,
     WeightedCountRule,
+    complete_graph,
 )
 
 bit_matrix = st.integers(min_value=1, max_value=6).flatmap(
@@ -107,6 +108,8 @@ def test_collision_bit_monotone_in_threshold(seed, threshold):
     """Raising the collision threshold can only flip alarms to accepts."""
     rng = np.random.default_rng(seed)
     samples = rng.integers(0, 16, size=(50, 6))
-    loose = CollisionBitPlayer(threshold + 1.0).respond_batch(samples)
-    tight = CollisionBitPlayer(threshold).respond_batch(samples)
+    loose = GraphStatisticPlayer(complete_graph(6), threshold + 1.0).respond_batch(
+        samples
+    )
+    tight = GraphStatisticPlayer(complete_graph(6), threshold).respond_batch(samples)
     assert np.all(loose >= tight)

@@ -149,6 +149,7 @@ class TestKernelContracts:
     def test_fallback_learner_without_batch_api(self):
         class MinimalLearner:
             n, k, q = 8, 32, 1
+            cache_token = {"class": "MinimalLearner", "n": 8, "k": 32, "q": 1}
 
             def learn(self, distribution, rng):
                 return HitCountingLearner(8, 32, 1).learn(distribution, rng)

@@ -12,20 +12,18 @@ import repro
 from repro.engine import (
     AcceptanceCache,
     distribution_fingerprint,
-    probe_key,
+    kernel_probe_key,
 )
-from repro.engine import tester_fingerprint as fingerprint_tester
 from repro.engine.cache import CACHE_VERSION, seed_fingerprint
 from repro.exceptions import InvalidParameterError
 
 N, EPS = 64, 0.5
 
 
-def _key(trials=100, seed_key=(1, 0, 0), tester=None, dist=None):
+def _key(trials=100, tester=None, dist=None):
     tester = tester or repro.ThresholdRuleTester(N, EPS, k=8, q=12)
     dist = dist or repro.uniform(N)
-    seed = np.random.SeedSequence(entropy=42, spawn_key=seed_key)
-    return probe_key(tester, dist, trials, seed)
+    return kernel_probe_key(tester, dist, {"trials": trials}, 42)
 
 
 class TestFingerprints:
@@ -39,28 +37,30 @@ class TestFingerprints:
         assert distribution_fingerprint(repro.uniform(N)).startswith(f"n{N}-")
 
     def test_tester_fingerprint_separates_configs(self):
-        a = fingerprint_tester(repro.ThresholdRuleTester(N, EPS, k=8, q=12))
-        b = fingerprint_tester(repro.ThresholdRuleTester(N, EPS, k=8, q=16))
-        c = fingerprint_tester(repro.CentralizedCollisionTester(N, EPS, q=12))
+        a = repro.ThresholdRuleTester(N, EPS, k=8, q=12).cache_token
+        b = repro.ThresholdRuleTester(N, EPS, k=8, q=16).cache_token
+        c = repro.CentralizedCollisionTester(N, EPS, q=12).cache_token
         assert a != b
         assert a["class"] == "ThresholdRuleTester"
         assert c["class"] == "CentralizedCollisionTester"
 
     def test_tester_fingerprint_covers_nested_protocol(self):
-        fp = fingerprint_tester(repro.ThresholdRuleTester(N, EPS, k=8, q=12))
+        fp = repro.ThresholdRuleTester(N, EPS, k=8, q=12).cache_token
         assert "protocol" in fp
-        assert len(fp["protocol"]["players"]) == 8
+        assert fp["protocol"]["homogeneous"]["k"] == 8
+        assert fp["protocol"]["homogeneous"]["q"] == 12
 
     def test_raw_protocol_fingerprint(self):
         protocol = repro.SimultaneousProtocol.homogeneous(
-            repro.CollisionBitPlayer(0),
+            repro.GraphStatisticPlayer(repro.complete_graph(6), 0),
             num_players=4,
             num_samples=6,
             referee=repro.ThresholdRule(2, num_players=4),
         )
-        fp = fingerprint_tester(protocol)
+        fp = protocol.cache_token
         assert fp["class"] == "SimultaneousProtocol"
-        assert len(fp["players"]) == 4
+        assert fp["homogeneous"]["k"] == 4
+        assert fp["referee"]["reject_threshold"] == 2
 
     def test_seed_fingerprint_distinguishes_spawn_keys(self):
         a = seed_fingerprint(np.random.SeedSequence(entropy=7, spawn_key=(1, 2)))
@@ -71,52 +71,61 @@ class TestFingerprints:
         json.dumps(_key(), sort_keys=True)
 
 
+def _rate(cache, key):
+    estimate = cache.get_estimate(key)
+    return None if estimate is None else estimate["rate"]
+
+
+def _put(cache, key, rate):
+    return cache.put_estimate(key, {"rate": rate})
+
+
 class TestAcceptanceCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
-        assert cache.get_rate(key) is None
-        cache.put_rate(key, 0.625)
-        assert cache.get_rate(key) == pytest.approx(0.625)
+        assert _rate(cache, key) is None
+        _put(cache, key, 0.625)
+        assert _rate(cache, key) == pytest.approx(0.625)
         assert len(cache) == 1
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
-        cache.put_rate(_key(trials=100), 0.1)
-        cache.put_rate(_key(trials=200), 0.9)
-        assert cache.get_rate(_key(trials=100)) == pytest.approx(0.1)
-        assert cache.get_rate(_key(trials=200)) == pytest.approx(0.9)
+        _put(cache, _key(trials=100), 0.1)
+        _put(cache, _key(trials=200), 0.9)
+        assert _rate(cache, _key(trials=100)) == pytest.approx(0.1)
+        assert _rate(cache, _key(trials=200)) == pytest.approx(0.9)
         assert len(cache) == 2
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
-        path = cache.put_rate(key, 0.5)
+        path = _put(cache, key, 0.5)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        assert cache.get_rate(key) is None
+        assert _rate(cache, key) is None
 
     def test_stale_version_reads_as_miss(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
         key = _key()
-        path = cache.put_rate(key, 0.5)
+        path = _put(cache, key, 0.5)
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["key"]["version"] = CACHE_VERSION + 1
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        assert cache.get_rate(key) is None
+        assert _rate(cache, key) is None
 
     def test_clear_removes_entries(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
-        cache.put_rate(_key(trials=100), 0.1)
-        cache.put_rate(_key(trials=200), 0.2)
+        _put(cache, _key(trials=100), 0.1)
+        _put(cache, _key(trials=200), 0.2)
         assert cache.clear() == 2
         assert len(cache) == 0
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         cache = AcceptanceCache(str(tmp_path))
-        cache.put_rate(_key(), 0.5)
+        _put(cache, _key(), 0.5)
         assert not [name for name in os.listdir(tmp_path) if ".tmp." in name]
 
     def test_rejects_empty_dir(self):

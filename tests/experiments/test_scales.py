@@ -9,7 +9,7 @@ import pytest
 
 import repro.experiments as experiments_package
 from repro.experiments.harness import REQUIRED_SCALES, ExperimentSpec
-from repro.experiments.registry import EXPERIMENTS, SPECS, experiment_ids
+from repro.experiments.registry import SPECS, experiment_ids
 
 MODULES = {
     "e01": "repro.experiments.e01_any_rule",
@@ -87,5 +87,7 @@ def test_sweep_plans_are_nonempty_and_deterministic(experiment_id):
 def test_run_signature(experiment_id):
     import inspect
 
-    signature = inspect.signature(EXPERIMENTS[experiment_id])
-    assert list(signature.parameters) == ["scale", "seed"]
+    # Experiments run only through the harness, which calls each sweep
+    # point as point(point, params, rng).
+    signature = inspect.signature(SPECS[experiment_id].point)
+    assert len(signature.parameters) == 3

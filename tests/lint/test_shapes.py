@@ -171,6 +171,52 @@ def test_rl801_sound_kernel_is_clean():
     assert _codes(program) == []
 
 
+def _helper_kernel(helper_body):
+    """A kernel whose accept_block reduces a trial-major helper block."""
+    return _kernel(
+        """
+        bits = self.bits_block(distribution, trials, rng)
+        return bits.all(axis=1)
+        """,
+        extra="def bits_block(self, distribution, trials, rng):\n"
+        + textwrap.indent(textwrap.dedent(helper_body), "    "),
+    )
+
+
+def test_rl801_trial_major_helper_block_is_clean():
+    program = _analyze(
+        _helper_kernel(
+            """
+            samples = distribution.sample_matrix(trials * 6, 4, rng)
+            return (samples < 2).all(axis=1).reshape(trials, 6)
+            """
+        )
+    )
+    assert _codes(program) == []
+
+
+def test_rl801_helper_block_must_stay_trial_major():
+    transposed = _analyze(
+        _helper_kernel(
+            """
+            draws = rng.random((6, trials))
+            return draws < 0.5
+            """
+        )
+    )
+    messages = [f.message for f in transposed.findings_for(PATH) if f.code == "RL801"]
+    assert any("not trial-major" in message for message in messages)
+    collapsed = _analyze(
+        _helper_kernel(
+            """
+            draws = rng.random((trials, 6))
+            return (draws < 0.5).sum()
+            """
+        )
+    )
+    assert [code for _, code in _codes(collapsed)] == ["RL801"]
+
+
 def test_rl801_unknown_shape_degrades_silently():
     program = _analyze(
         _kernel(

@@ -105,11 +105,10 @@ class TestWorkerCountInvariance:
 
     @staticmethod
     def _make_truth_table():
-        from repro.core.players import CollisionBitPlayer
         from repro.core.protocol import SimultaneousProtocol
 
         referee = repro.TruthTableRule([0, 1] * 8)  # arbitrary f: {0,1}^4 -> {0,1}
-        player = CollisionBitPlayer(threshold=1)
+        player = repro.GraphStatisticPlayer(repro.complete_graph(24), threshold=1)
         return SimultaneousProtocol.homogeneous(player, 4, 24, referee)
 
     def _curve(self, runner, backend):
