@@ -14,12 +14,16 @@ The package layers bottom-up:
     (re-export-chasing) over the analysed file set.
 ``callgraph``
     Statically resolvable call edges and a callees-first order.
+``cfg``
+    Statement-level control-flow graphs with exception and
+    ``try/finally``/``with`` edges (the RL7xx and RL8xx substrate).
+``solver``
+    The one fixpoint solver: the CFG worklist (RL7xx, RL8xx), the
+    callees-first call-graph summary loop (all three families), their
+    caps, and the RL600 finding a cap that fires turns into.
 ``intra``
     The abstract interpreter over one function body: produces a
     summary and the RL6xx raw findings.
-``cfg``
-    Statement-level control-flow graphs with exception and
-    ``try/finally``/``with`` edges (the RL7xx substrate).
 ``resources``
     The resource-lifecycle interpreter over the CFG: acquisition-state
     lattice, ownership-transfer summaries, and the RL701–RL704
@@ -29,13 +33,13 @@ The package layers bottom-up:
     dimension polynomials, broadcasting and axis-aware reductions,
     per-trial draw accounting, and the RL801–RL804 detectors.
 ``program``
-    The driver: summary fixpoint over the call graph (determinism and
-    resource passes), then a reporting pass; results are picklable for
-    the ``--jobs N`` runner.
+    The entry point: runs the RL6xx, RL7xx and RL8xx families over one
+    module and call graph and merges their findings per file; results
+    are picklable for the ``--jobs N`` runner.
 """
 
 from .cfg import ControlFlowGraph, build_cfg
-from .intra import RawFinding, analyze_function
+from .intra import analyze_function
 from .lattice import (
     EntropyTag,
     OrderTag,
@@ -47,6 +51,7 @@ from .lattice import (
 from .program import ProgramAnalysis, analyze_program
 from .resources import ResourceSummary, analyze_resources
 from .shapes import ShapeSummary, analyze_shapes
+from .solver import RawFinding
 from .summaries import BUILTIN_SUMMARIES, FunctionSummary
 
 __all__ = [

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..context import FunctionNode
 
@@ -98,13 +98,6 @@ class ControlFlowGraph:
 
     def add_exc_edge(self, src: int, dst: int) -> None:
         self.exc_succ[src].add(dst)
-
-    def successors(self, index: int) -> Set[int]:
-        """All successors, normal and exceptional."""
-        return self.succ[index] | self.exc_succ[index]
-
-    def statement_nodes(self) -> List[CFGNode]:
-        return [node for node in self.nodes if node.kind == STATEMENT]
 
 
 class _Frame:
@@ -386,38 +379,3 @@ def build_cfg(function: FunctionNode) -> ControlFlowGraph:
     """The statement-level CFG of one function body."""
     return _Builder(function).build()
 
-
-def reachable_from_entry(cfg: ControlFlowGraph) -> Set[int]:
-    """Node indices reachable from the entry node."""
-    seen: Set[int] = set()
-    stack = [cfg.entry]
-    while stack:
-        index = stack.pop()
-        if index in seen:
-            continue
-        seen.add(index)
-        stack.extend(cfg.successors(index))
-    return seen
-
-
-def topo_like_order(cfg: ControlFlowGraph) -> List[int]:
-    """A deterministic worklist seed order (entry-first BFS)."""
-    order: List[int] = []
-    seen: Set[int] = set()
-    queue: List[int] = [cfg.entry]
-    while queue:
-        index = queue.pop(0)
-        if index in seen:
-            continue
-        seen.add(index)
-        order.append(index)
-        queue.extend(sorted(cfg.successors(index)))
-    return order
-
-
-def exception_paths_only(
-    cfg: ControlFlowGraph, reaching: Tuple[Set[int], Set[int]]
-) -> bool:
-    """Whether a leak reaches only the raise exit (helper for messaging)."""
-    normal, exceptional = reaching
-    return bool(exceptional) and not normal

@@ -3,16 +3,17 @@
 :func:`analyze_function` walks one function body, maintaining a
 name → :data:`~.lattice.Value` environment with *weak* updates (an
 assignment joins into the previous value rather than replacing it).
-Weak updates keep every transfer function monotone, so running the body
-a fixed small number of passes reaches a post-fixpoint for the
-loop-carried flows that matter here; findings are recorded on the final
-pass only.
+Weak updates keep every transfer function monotone, so repeating the
+body until a pass leaves the environment unchanged reaches a fixpoint of
+the loop-carried flows; findings are kept from that stable pass only,
+and a body still changing after ``solver.MAX_ATTEMPTS`` passes is
+reported as RL600.
 
 The interpreter produces two artefacts:
 
 * a :class:`~.summaries.FunctionSummary` (which tags the return value
   carries, which parameters flow through) consumed by the
-  inter-procedural fixpoint in :mod:`.program`, and
+  inter-procedural fixpoint in :mod:`.solver`, and
 * :class:`RawFinding` records for the RL6xx detectors — picklable
   primitives that the rule layer replays per file.
 
@@ -56,6 +57,7 @@ from .lattice import (
     value,
 )
 from .modules import ClassInfo, ModuleInfo, container_kind_of_annotation
+from .solver import MAX_ATTEMPTS, RawFinding, truncation_finding
 from .summaries import (
     RNG_PARAM_ANNOTATIONS,
     RNG_PARAM_NAMES,
@@ -123,16 +125,6 @@ _UNORDERED_COMBINATORS = frozenset(
 SummaryLookup = Callable[[str], Optional[FunctionSummary]]
 
 
-@dataclass(frozen=True)
-class RawFinding:
-    """One detector hit: picklable primitives, later wrapped as a Diagnostic."""
-
-    code: str
-    line: int
-    col: int
-    message: str
-
-
 @dataclass
 class FunctionAnalysis:
     """The two outputs of analysing one function."""
@@ -183,7 +175,6 @@ class FunctionAnalyzer:
         self.self_attrs: Dict[str, Value] = {}
         self.return_value: Value = BOTTOM
         self.findings: List[RawFinding] = []
-        self._report = False
         self._seen: Set[Tuple[str, int, int, str]] = set()
         #: Innermost-first stack of (lineno, end_lineno) loop spans.
         self._loop_spans: List[Tuple[int, int]] = []
@@ -199,22 +190,20 @@ class FunctionAnalyzer:
 
     def analyze(self) -> FunctionAnalysis:
         self._init_params()
-        # Warm-up passes settle loop-carried flows (weak updates make
-        # each pass monotone); straight-line bodies need only one.  The
-        # final pass records findings against the stabilised environment.
-        has_loop = any(
-            isinstance(node, (ast.For, ast.AsyncFor, ast.While))
-            for node in ast.walk(self.function)
-        )
-        self._exec_block(self.function.body)
-        if has_loop:
+        # Weak updates make each pass monotone, so repeating the body
+        # until a full pass changes nothing settles loop-carried flows.
+        # Only the findings of that stable pass are kept.
+        for _ in range(MAX_ATTEMPTS):
+            before = (dict(self.env), dict(self.self_attrs), self.return_value)
+            self.findings = []
+            self._seen = set()
             self._exec_block(self.function.body)
-        self._report = True
-        self._exec_block(self.function.body)
-        findings = tuple(
-            sorted(self.findings, key=lambda f: (f.line, f.col, f.code, f.message))
-        )
-        return FunctionAnalysis(summary=self._build_summary(), findings=findings)
+            if before == (self.env, self.self_attrs, self.return_value):
+                break
+        else:
+            cap = f"the {MAX_ATTEMPTS}-pass body cap"
+            self.findings.append(truncation_finding(self.function, "RL6xx", cap))
+        return FunctionAnalysis(summary=self._build_summary(), findings=tuple(self.findings))
 
     def _init_params(self) -> None:
         args = self.function.args
@@ -277,8 +266,6 @@ class FunctionAnalyzer:
     # ------------------------------------------------------------------ #
 
     def _record(self, code: str, node: ast.AST, message: str) -> None:
-        if not self._report:
-            return
         key = (code, node.lineno, node.col_offset, message)
         if key in self._seen:
             return

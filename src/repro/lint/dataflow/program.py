@@ -1,13 +1,12 @@
-"""Whole-program driver: summaries fixpoint + RL6xx finding collection.
+"""Whole-program entry point: the three dataflow families over one call graph.
 
 :func:`analyze_program` is the single entry point the rule layer uses.
 It parses every file into a :class:`~.modules.ModuleGraph`, builds the
-call graph, then runs a worklist fixpoint of the intra-procedural
-interpreter: the first wave analyses every function (callees first),
-and afterwards only the callers of a function whose
-:class:`~.summaries.FunctionSummary` grew are re-analysed.  Each
-function's *last* analysis saw its callees' converged summaries, so its
-:class:`~.intra.RawFinding` records are final — keyed by file path.
+call graph, then runs the RL6xx intra-procedural interpreter, the RL7xx
+resource pass and the RL8xx shape pass, each to its summary fixpoint on
+:func:`~.solver.solve_program`.  Each function's *last* analysis saw its
+callees' converged summaries, so its :class:`~.solver.RawFinding`
+records are final; they are merged per file path and sorted once here.
 
 The resulting :class:`ProgramAnalysis` is deliberately a bag of
 picklable primitives: the ``--jobs N`` runner computes it once in the
@@ -19,21 +18,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..context import ModuleContext, dotted_name
 from .callgraph import build_call_graph
-from .intra import ENGINE_SINKS, RawFinding, analyze_function
+from .intra import ENGINE_SINKS, analyze_function
 from .modules import ModuleGraph, ModuleInfo
 from .resources import ResourceSummary, analyze_resources
 from .shapes import ShapeSummary, analyze_shapes
+from .solver import RawFinding, report_truncated, solve_program, summary_lookup
 from .summaries import FunctionSummary, builtin_summary, merge_summaries
-
-#: Upper bound on summary-fixpoint rounds.  The lattice is finite and
-#: all transfer functions monotone, so this is a safety valve against
-#: pathological alias cycles, not a correctness requirement.
-MAX_FIXPOINT_ROUNDS = 5
-
 
 def _kernel_names(info: ModuleInfo) -> Set[str]:
     """Module-level functions dispatched *by name* into an engine sink.
@@ -96,93 +90,41 @@ def analyze_program(
     """
     graph = ModuleGraph(files, contexts=contexts)
     call_graph = build_call_graph(graph)
-    summaries: Dict[str, FunctionSummary] = {}
-
-    def lookup(name: str) -> Optional[FunctionSummary]:
-        # Hand-written models win (see summaries.BUILTIN_SUMMARIES).
-        builtin = builtin_summary(name)
-        if builtin is not None:
-            return builtin
-        if name in summaries:
-            return summaries[name]
-        resolved = graph.resolve_function(name)
-        if resolved is not None:
-            return summaries.get(resolved[0])
-        return None
 
     kernels: Set[str] = set()
     for info in graph.by_path.values():
         for name in _kernel_names(info):
             kernels.add(f"{info.module_name}.{name}")
 
-    order = call_graph.processing_order()
+    # Hand-written models win (see summaries.BUILTIN_SUMMARIES).
+    summaries: Dict[str, FunctionSummary] = {}
+    lookup = summary_lookup(graph, summaries, builtin_summary)
 
-    def run(qualname: str):
+    def analyze(qualname: str) -> Tuple[Tuple[RawFinding, ...], FunctionSummary]:
         info, node = call_graph.functions[qualname]
-        cls = graph.class_for_method(info, node)
-        return info, analyze_function(
+        analysis = analyze_function(
             info,
             node,
             qualname=qualname,
-            cls=cls,
+            cls=graph.class_for_method(info, node),
             lookup=lookup,
             is_kernel=qualname in kernels,
         )
+        return analysis.findings, analysis.summary
 
-    # Worklist fixpoint: the first wave analyses everything (callees
-    # first); afterwards only the callers of a function whose summary
-    # grew are re-analysed.  Summaries only grow (monotone join over a
-    # finite lattice), so a function's *last* analysis always saw the
-    # final summary of every callee and its findings are the final ones.
-    callers: Dict[str, Set[str]] = {}
-    for caller, callees in call_graph.edges.items():
-        for callee in callees:
-            callers.setdefault(callee, set()).add(caller)
-    position = {qualname: index for index, qualname in enumerate(order)}
-    attempts: Dict[str, int] = {}
-    max_attempts = MAX_FIXPOINT_ROUNDS * 2
-    last: Dict[str, Tuple[ModuleInfo, Tuple[RawFinding, ...]]] = {}
+    per_path, truncated = solve_program(
+        call_graph, analyze, merge_summaries, summaries
+    )
+    report_truncated(per_path, call_graph, truncated, "RL6xx")
 
-    wave = list(order)
-    while wave:
-        next_wave: Set[str] = set()
-        for qualname in wave:
-            if attempts.get(qualname, 0) >= max_attempts:
-                continue  # safety valve against pathological cycles
-            attempts[qualname] = attempts.get(qualname, 0) + 1
-            info, analysis = run(qualname)
-            last[qualname] = (info, analysis.findings)
-            old = summaries.get(qualname)
-            if old is None:
-                summaries[qualname] = analysis.summary
-                changed = bool(
-                    analysis.summary.return_tags or analysis.summary.passthrough
-                )
-            else:
-                merged, changed = merge_summaries(old, analysis.summary)
-                summaries[qualname] = merged
-            if changed:
-                next_wave.update(callers.get(qualname, ()))
-        wave = sorted(next_wave, key=lambda name: position.get(name, 0))
-
-    per_path: Dict[str, List[RawFinding]] = {}
-    for qualname in order:
-        entry = last.get(qualname)
-        if entry is not None and entry[1]:
-            per_path.setdefault(entry[0].path, []).extend(entry[1])
-
-    # Second engine over the same module/call graphs: the RL7xx
-    # resource-lifecycle pass (its own CFG-based interpreter and summary
-    # worklist; see .resources).
+    # The RL7xx resource-lifecycle and RL8xx shape/dtype/RNG-budget
+    # passes run over the same module and call graphs (see .resources,
+    # .shapes).
     resource_findings, resource_summaries = analyze_resources(graph, call_graph)
-    for path, hits in resource_findings.items():
-        per_path.setdefault(path, []).extend(hits)
-
-    # Third engine: the RL8xx shape/dtype/RNG-budget pass (symbolic
-    # abstract interpretation over the same CFGs; see .shapes).
     shape_findings, shape_summaries = analyze_shapes(graph, call_graph)
-    for path, hits in shape_findings.items():
-        per_path.setdefault(path, []).extend(hits)
+    for family in (resource_findings, shape_findings):
+        for path, hits in family.items():
+            per_path.setdefault(path, []).extend(hits)
 
     findings = {
         path: tuple(

@@ -42,20 +42,25 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
 from ..context import FunctionNode, dotted_name
 from .callgraph import CallGraph
-from .cfg import WITH_CLEANUP, ControlFlowGraph, build_cfg
-from .intra import RawFinding
+from .cfg import WITH_CLEANUP, CFGNode, ControlFlowGraph, build_cfg
 from .modules import ClassInfo, ModuleGraph, ModuleInfo
+from .solver import (
+    RawFinding,
+    report_truncated,
+    solve_cfg,
+    solve_program,
+    summary_lookup,
+    truncation_finding,
+)
 
 # --------------------------------------------------------------------- #
 # the resource domain                                                   #
@@ -308,18 +313,17 @@ Env = Dict[str, FrozenSet[int]]
 Res = Dict[int, FrozenSet[str]]
 
 
-def _join_env(a: Env, b: Env) -> Env:
-    out = dict(a)
-    for name, rids in b.items():
-        out[name] = out.get(name, frozenset()) | rids
-    return out
+State = Tuple[Env, Res]
 
 
-def _join_res(a: Res, b: Res) -> Res:
-    out = dict(a)
-    for rid, states in b.items():
-        out[rid] = out.get(rid, frozenset()) | states
-    return out
+def _join_state(a: State, b: State) -> State:
+    env = dict(a[0])
+    for name, rids in b[0].items():
+        env[name] = env.get(name, frozenset()) | rids
+    res = dict(a[1])
+    for rid, states in b[1].items():
+        res[rid] = res.get(rid, frozenset()) | states
+    return env, res
 
 
 def _walk_expr(expr: ast.expr) -> Iterator[ast.AST]:
@@ -940,56 +944,21 @@ class _ResourceInterp:
         self._param_closed: Set[str] = set()
         self._param_escaped: Set[str] = set()
         cfg = build_cfg(self.function)
-        entry_state = self._entry_state()
-        in_states: Dict[int, Tuple[Env, Res]] = {cfg.entry: entry_state}
 
-        def propagate(dst: int, state: Tuple[Env, Res]) -> bool:
-            old = in_states.get(dst)
-            if old is None:
-                in_states[dst] = (dict(state[0]), dict(state[1]))
-                return True
-            env = _join_env(old[0], state[0])
-            res = _join_res(old[1], state[1])
-            if env != old[0] or res != old[1]:
-                in_states[dst] = (env, res)
-                return True
-            return False
-
-        worklist: List[int] = [cfg.entry]
-        iterations = 0
-        limit = max(64, len(cfg.nodes) * len(cfg.nodes) * 4)
-        while worklist and iterations < limit:
-            iterations += 1
-            index = worklist.pop(0)
-            node = cfg.nodes[index]
-            state = in_states.get(index)
-            if state is None:
-                continue
+        def transfer(node: CFGNode, state: State) -> Tuple[State, State]:
             out, created = self._transfer(
                 node.kind, node.stmt, node.with_stmt, state, record=False
             )
+            if not created:
+                return out, out
             # Exception edges: the statement may have raised *before*
             # acquiring, so freshly created sites are absent on them.
-            exc_out = out
-            if created:
-                env = {
-                    name: rids - frozenset(created)
-                    for name, rids in out[0].items()
-                }
-                exc_out = (
-                    {name: rids for name, rids in env.items() if rids},
-                    {
-                        rid: states
-                        for rid, states in out[1].items()
-                        if rid not in created
-                    },
-                )
-            for dst in sorted(cfg.succ[index]):
-                if propagate(dst, out):
-                    worklist.append(dst)
-            for dst in sorted(cfg.exc_succ[index]):
-                if propagate(dst, exc_out):
-                    worklist.append(dst)
+            dropped = frozenset(created)
+            env = {name: rids - dropped for name, rids in out[0].items()}
+            res = {rid: states for rid, states in out[1].items() if rid not in dropped}
+            return out, ({name: rids for name, rids in env.items() if rids}, res)
+
+        in_states, converged = solve_cfg(cfg, self._entry_state(), transfer, _join_state)
 
         # Recording pass over converged states, in node-index order.
         self.findings = []
@@ -1006,10 +975,10 @@ class _ResourceInterp:
             escapes=frozenset(self._param_escaped),
             returns_kind=self._returns_kind(),
         )
-        ordered = tuple(
-            sorted(set(self.findings), key=lambda f: (f.line, f.col, f.code, f.message))
-        )
-        return ordered, summary
+        if not converged:
+            cap = "the CFG worklist cap"
+            self.findings.append(truncation_finding(self.function, "RL7xx", cap))
+        return tuple(self.findings), summary
 
     def _returns_kind(self) -> Optional[str]:
         kinds: Set[str] = set()
@@ -1071,78 +1040,21 @@ def analyze_resources(
 ) -> Tuple[Dict[str, List[RawFinding]], Dict[str, ResourceSummary]]:
     """Resource findings per path + converged summaries per qualname.
 
-    Reuses the determinism pass's worklist shape: every function is
-    analysed once callees-first, then only the callers of a function
-    whose :class:`ResourceSummary` grew are re-analysed; a function's
-    last run saw converged callee summaries, so its findings are final.
+    Runs on the same :func:`~.solver.solve_program` loop as the
+    determinism summaries, so a function's last run saw converged
+    callee summaries and its findings are final.
     """
     summaries: Dict[str, ResourceSummary] = {}
+    lookup = summary_lookup(graph, summaries, BUILTIN_RESOURCE_SUMMARIES.get)
+    facts = {info.path: module_resource_facts(info) for info in graph.by_path.values()}
 
-    def lookup(name: str) -> Optional[ResourceSummary]:
-        builtin = BUILTIN_RESOURCE_SUMMARIES.get(name)
-        if builtin is not None:
-            return builtin
-        if name in summaries:
-            return summaries[name]
-        resolved = graph.resolve_function(name)
-        if resolved is not None:
-            return summaries.get(resolved[0])
-        return None
+    def analyze(qualname: str) -> Tuple[Tuple[RawFinding, ...], ResourceSummary]:
+        info, node = call_graph.functions[qualname]
+        cls = graph.class_for_method(info, node)
+        return _ResourceInterp(info, node, qualname, cls, lookup, facts[info.path]).run()
 
-    facts_by_path: Dict[str, ModuleResourceFacts] = {}
-
-    def facts_for(info: ModuleInfo) -> ModuleResourceFacts:
-        cached = facts_by_path.get(info.path)
-        if cached is None:
-            cached = module_resource_facts(info)
-            facts_by_path[info.path] = cached
-        return cached
-
-    order = call_graph.processing_order()
-    callers: Dict[str, Set[str]] = {}
-    for caller, callees in call_graph.edges.items():
-        for callee in callees:
-            callers.setdefault(callee, set()).add(caller)
-    position = {qualname: index for index, qualname in enumerate(order)}
-    attempts: Dict[str, int] = {}
-    last: Dict[str, Tuple[str, Tuple[RawFinding, ...]]] = {}
-
-    wave = list(order)
-    while wave:
-        next_wave: Set[str] = set()
-        for qualname in wave:
-            if attempts.get(qualname, 0) >= 10:
-                continue  # safety valve against pathological cycles
-            attempts[qualname] = attempts.get(qualname, 0) + 1
-            info, node = call_graph.functions[qualname]
-            cls = graph.class_for_method(info, node)
-            interp = _ResourceInterp(
-                module=info,
-                function=node,
-                qualname=qualname,
-                cls=cls,
-                lookup=lookup,
-                facts=facts_for(info),
-            )
-            findings, summary = interp.run()
-            last[qualname] = (info.path, findings)
-            old = summaries.get(qualname)
-            if old is None:
-                summaries[qualname] = summary
-                # A first summary always counts as news: callers analysed
-                # earlier (cycles, unresolved edges) assumed "unknown
-                # callee" and must re-run even if the summary is neutral.
-                changed = True
-            else:
-                merged, changed = merge_resource_summaries(old, summary)
-                summaries[qualname] = merged
-            if changed:
-                next_wave.update(callers.get(qualname, ()))
-        wave = sorted(next_wave, key=lambda name: position.get(name, 0))
-
-    per_path: Dict[str, List[RawFinding]] = {}
-    for qualname in order:
-        entry = last.get(qualname)
-        if entry is not None and entry[1]:
-            per_path.setdefault(entry[0], []).extend(entry[1])
+    per_path, truncated = solve_program(
+        call_graph, analyze, merge_resource_summaries, summaries
+    )
+    report_truncated(per_path, call_graph, truncated, "RL7xx")
     return per_path, summaries

@@ -67,9 +67,16 @@ from typing import (
 
 from ..context import FunctionNode, dotted_name
 from .callgraph import CallGraph
-from .cfg import WITH_CLEANUP, build_cfg
-from .intra import RawFinding
+from .cfg import WITH_CLEANUP, CFGNode, build_cfg
 from .modules import ClassInfo, ModuleGraph, ModuleInfo
+from .solver import (
+    RawFinding,
+    report_truncated,
+    solve_cfg,
+    solve_program,
+    summary_lookup,
+    truncation_finding,
+)
 
 # --------------------------------------------------------------------- #
 # dimension polynomials                                                 #
@@ -521,11 +528,9 @@ Env = Dict[str, AbstractValue]
 State = Tuple[Env, Budget]
 
 
-def _join_env(a: Env, b: Env) -> Env:
-    joined: Env = {}
-    for name in a.keys() & b.keys():
-        joined[name] = join_values(a[name], b[name])
-    return joined
+def _join_state(a: State, b: State) -> State:
+    env = {name: join_values(a[0][name], b[0][name]) for name in a[0].keys() & b[0].keys()}
+    return env, join_budget(a[1], b[1])
 
 
 def _loop_statements(function: FunctionNode) -> Set[int]:
@@ -1609,43 +1614,14 @@ class _ShapeInterp:
 
     def run(self) -> Tuple[Tuple[RawFinding, ...], ShapeSummary]:
         cfg = build_cfg(self.function)
-        entry: State = (self._entry_env(), ZERO_BUDGET)
-        in_states: Dict[int, State] = {cfg.entry: entry}
 
-        def propagate(dst: int, state: State) -> bool:
-            old = in_states.get(dst)
-            if old is None:
-                in_states[dst] = (dict(state[0]), state[1])
-                return True
-            env = _join_env(old[0], state[0])
-            budget = join_budget(old[1], state[1])
-            if env != old[0] or budget != old[1]:
-                in_states[dst] = (env, budget)
-                return True
-            return False
+        def transfer(node: CFGNode, state: State) -> Tuple[State, State]:
+            out = state if node.kind == WITH_CLEANUP else self._transfer(node.stmt, state)
+            return out, out
 
         self._record = False
-        worklist: List[int] = [cfg.entry]
-        iterations = 0
-        limit = max(64, len(cfg.nodes) * len(cfg.nodes) * 4)
-        while worklist and iterations < limit:
-            iterations += 1
-            index = worklist.pop(0)
-            state = in_states.get(index)
-            if state is None:
-                continue
-            node = cfg.nodes[index]
-            out = (
-                state
-                if node.kind == WITH_CLEANUP
-                else self._transfer(node.stmt, state)
-            )
-            for dst in sorted(cfg.succ[index]):
-                if propagate(dst, out):
-                    worklist.append(dst)
-            for dst in sorted(cfg.exc_succ[index]):
-                if propagate(dst, out):
-                    worklist.append(dst)
+        entry = (self._entry_env(), ZERO_BUDGET)
+        in_states, converged = solve_cfg(cfg, entry, transfer, _join_state)
 
         # Recording pass over converged states, in node-index order.
         self._record = True
@@ -1669,13 +1645,10 @@ class _ShapeInterp:
             returns=self._return_value or NONE_VALUE,
             consumption=exit_budget.poly,
         )
-        ordered = tuple(
-            sorted(
-                set(self.findings),
-                key=lambda f: (f.line, f.col, f.code, f.message),
-            )
-        )
-        return ordered, summary
+        if not converged:
+            cap = "the CFG worklist cap"
+            self.findings.append(truncation_finding(self.function, "RL8xx", cap))
+        return tuple(self.findings), summary
 
 
 # --------------------------------------------------------------------- #
@@ -1766,65 +1739,21 @@ def analyze_shapes(
 ) -> Tuple[Dict[str, List[RawFinding]], Dict[str, ShapeSummary]]:
     """Shape findings per path + converged summaries per qualname.
 
-    Same worklist shape as the determinism and resource passes: every
-    function analysed once callees-first, then only the callers of a
-    function whose :class:`ShapeSummary` changed are re-analysed, so a
-    function's last run saw converged callee summaries.
+    Runs on the same :func:`~.solver.solve_program` loop as the
+    determinism and resource passes, so a function's last run saw
+    converged callee summaries.
     """
     summaries: Dict[str, ShapeSummary] = {}
+    lookup = summary_lookup(graph, summaries)
 
-    def lookup(name: str) -> Optional[ShapeSummary]:
-        if name in summaries:
-            return summaries[name]
-        resolved = graph.resolve_function(name)
-        if resolved is not None:
-            return summaries.get(resolved[0])
-        return None
+    def analyze(qualname: str) -> Tuple[Tuple[RawFinding, ...], ShapeSummary]:
+        info, node = call_graph.functions[qualname]
+        cls = graph.class_for_method(info, node)
+        return _ShapeInterp(info, node, qualname, cls, lookup).run()
 
-    order = call_graph.processing_order()
-    callers: Dict[str, Set[str]] = {}
-    for caller, callees in call_graph.edges.items():
-        for callee in callees:
-            callers.setdefault(callee, set()).add(caller)
-    position = {qualname: index for index, qualname in enumerate(order)}
-    attempts: Dict[str, int] = {}
-    last: Dict[str, Tuple[str, Tuple[RawFinding, ...]]] = {}
-
-    wave = list(order)
-    while wave:
-        next_wave: Set[str] = set()
-        for qualname in wave:
-            if attempts.get(qualname, 0) >= 10:
-                continue  # safety valve against pathological cycles
-            attempts[qualname] = attempts.get(qualname, 0) + 1
-            info, node = call_graph.functions[qualname]
-            cls = graph.class_for_method(info, node)
-            interp = _ShapeInterp(
-                module=info,
-                function=node,
-                qualname=qualname,
-                cls=cls,
-                lookup=lookup,
-            )
-            findings, summary = interp.run()
-            last[qualname] = (info.path, findings)
-            old = summaries.get(qualname)
-            if old is None:
-                summaries[qualname] = summary
-                # First summaries always count as news: callers analysed
-                # earlier assumed ⊤ and must observe the real one.
-                changed = True
-            else:
-                merged, changed = merge_shape_summaries(old, summary)
-                summaries[qualname] = merged
-            if changed:
-                next_wave.update(callers.get(qualname, ()))
-        wave = sorted(next_wave, key=lambda name: position.get(name, 0))
-
-    per_path: Dict[str, List[RawFinding]] = {}
-    for qualname in order:
-        entry = last.get(qualname)
-        if entry is not None and entry[1]:
-            per_path.setdefault(entry[0], []).extend(entry[1])
+    per_path, truncated = solve_program(
+        call_graph, analyze, merge_shape_summaries, summaries
+    )
+    report_truncated(per_path, call_graph, truncated, "RL8xx")
     _check_rl803(graph, summaries, per_path)
     return per_path, summaries

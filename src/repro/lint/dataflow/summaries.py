@@ -10,7 +10,7 @@ Two populations exist:
 
 * **Computed** summaries — produced by running the intra-procedural
   interpreter over every function in the analysed tree (fixpoint over the
-  call graph, see :mod:`.program`).
+  call graph, see :mod:`.solver`).
 * **Builtin** summaries — hand-written models of the external surface the
   repository's RNG discipline is built on (``numpy.random``,
   ``repro.rng``, the engine's seed-derivation helpers).  Builtins let a
@@ -23,7 +23,7 @@ Two populations exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -34,7 +34,6 @@ from .lattice import (
     Value,
     broad_taints,
     join,
-    rng_tags,
 )
 
 
@@ -185,7 +184,7 @@ def merge_summaries(
     """Monotone join of two summaries for the same function.
 
     Returns ``(merged, changed)`` — the fixpoint loop in
-    :mod:`.program` iterates until no summary changes.
+    :mod:`.solver` iterates until no summary changes.
     """
     return_tags = join(old.return_tags, new.return_tags)
     passthrough = old.passthrough | new.passthrough
@@ -204,7 +203,3 @@ def merge_summaries(
     )
     return merged, changed
 
-
-def summary_mentions_rng(summary: FunctionSummary) -> bool:
-    """Whether calling this function can yield an RNG stream."""
-    return bool(rng_tags(summary.return_tags)) or bool(summary.passthrough)

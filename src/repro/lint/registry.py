@@ -13,7 +13,10 @@ Code families
 * ``RL4xx`` — paper-anchor citations
 * ``RL5xx`` — mutable default arguments
 * ``RL6xx`` — whole-program determinism dataflow (RNG-stream lineage,
-  nondeterministic iteration order)
+  nondeterministic iteration order); ``RL600`` reports a dataflow
+  fixpoint of any family that hit its cap before converging
+* ``RL7xx`` — resource lifecycle and fork safety (CFG dataflow)
+* ``RL8xx`` — kernel shape, dtype and RNG-budget contracts (CFG dataflow)
 * ``RL001`` — reserved: file could not be parsed (emitted by the runner)
 """
 

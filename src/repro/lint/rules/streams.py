@@ -1,4 +1,4 @@
-"""Whole-program determinism dataflow rules (RL601–RL604).
+"""Whole-program determinism dataflow rules (RL600–RL604).
 
 Unlike the per-file RL1xx–RL5xx families, these rules replay findings
 computed by the :mod:`repro.lint.dataflow` analysis: the runner builds
@@ -51,6 +51,24 @@ class _DataflowRule(Rule):
                 code=self.code,
                 message=finding.message,
             )
+
+
+@register_rule
+class FixpointTruncated(_DataflowRule):
+    """A dataflow fixpoint that hit its cap instead of converging."""
+
+    code = "RL600"
+    name = "fixpoint-truncated"
+    summary = "dataflow fixpoint stopped at its cap before converging"
+    default_severity = "warning"
+    rationale = (
+        "Every dataflow family (RL6xx, RL7xx, RL8xx) iterates to a "
+        "fixpoint under a fixed cap.  A function whose analysis hit the "
+        "cap was judged from unconverged states, so its other findings "
+        "may be missing or stale; the cap is reported here rather than "
+        "passing silently.  Split the function, or shorten the "
+        "loop-carried or recursive flow the analysis kept chasing."
+    )
 
 
 @register_rule

@@ -8,9 +8,8 @@ from repro.lint.dataflow.cfg import (
     STATEMENT,
     WITH_CLEANUP,
     build_cfg,
-    reachable_from_entry,
-    topo_like_order,
 )
+from repro.lint.dataflow.solver import solve_cfg
 
 
 def _cfg_for(source):
@@ -197,8 +196,14 @@ def test_reachability_and_order_are_deterministic():
         """
     first = _cfg_for(source)
     second = _cfg_for(source)
-    assert topo_like_order(first) == topo_like_order(second)
-    reachable = reachable_from_entry(first)
+    assert first.succ == second.succ
+    assert first.exc_succ == second.exc_succ
+    # A constant state reaches exactly the nodes reachable from entry.
+    in_states, converged = solve_cfg(
+        first, True, lambda node, state: (state, state), lambda a, b: a
+    )
+    assert converged
+    reachable = set(in_states)
     assert first.entry in reachable
     assert first.exit in reachable
     statements = [n.index for n in first.nodes if n.kind == STATEMENT and n.stmt]

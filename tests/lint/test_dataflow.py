@@ -60,6 +60,25 @@ def pong(rng, depth):
     return ping(rng, depth)
 """
 
+MUTUAL_RESOURCES = """\
+def drain(handle, depth):
+    if depth == 0:
+        handle.close()
+        return None
+    return relay(handle, depth - 1)
+
+def relay(handle, depth):
+    return drain(handle, depth)
+
+def ping_block(trials, depth, rng):
+    if depth == 0:
+        return rng.random(trials) < 0.5
+    return pong_block(trials, depth - 1, rng)
+
+def pong_block(trials, depth, rng):
+    return ping_block(trials, depth, rng)
+"""
+
 KERNEL_MODULE = """\
 from repro.rng import ensure_rng
 
@@ -117,6 +136,25 @@ def test_mutual_recursion_converges():
     assert "repro.gamma.mutual.pong" in analysis.summaries
     # rng flows through the cycle into both summaries' passthrough sets.
     assert "rng" in analysis.summaries["repro.gamma.mutual.ping"].passthrough
+
+    analysis = _analyze({"repro/gamma/cycle.py": MUTUAL_RESOURCES})
+    resources = analysis.resource_summaries
+    shapes = analysis.shape_summaries
+    # RL7xx: drain's close reaches relay through the cycle.
+    assert "handle" in resources["repro.gamma.cycle.drain"].closes
+    assert "handle" in resources["repro.gamma.cycle.relay"].closes
+    # RL8xx: a draw-free cycle keeps a known zero budget; forwarding the
+    # generator around a cycle degrades both budgets to unknown.
+    assert shapes["repro.gamma.cycle.drain"].consumption == ()
+    assert shapes["repro.gamma.cycle.relay"].consumption == ()
+    assert shapes["repro.gamma.cycle.ping_block"].consumption is None
+    assert shapes["repro.gamma.cycle.pong_block"].consumption is None
+    assert shapes["repro.gamma.cycle.pong_block"].params == (
+        "trials",
+        "depth",
+        "rng",
+    )
+    assert analysis.findings == {}
 
 
 def test_kernel_detection_and_rl604():
