@@ -91,7 +91,6 @@ from .streaming import (
     StreamingCollisionTester,
     StreamingDistinctTester,
     StreamingGraphTester,
-    calibrate_sketch_threshold,
     measured_state_bytes,
     run_streaming,
 )
@@ -172,7 +171,6 @@ __all__ = [
     "StreamingCollisionTester",
     "StreamingDistinctTester",
     "StreamingGraphTester",
-    "calibrate_sketch_threshold",
     "measured_state_bytes",
     "run_streaming",
     "StreamingPlugin",

@@ -62,8 +62,6 @@ class UniqueElementsTester(ComparisonGraphTester):
         # Validate (n, epsilon) before they feed the default-q formula.
         UniformityTester.__init__(self, n, epsilon)
         q = q if q is not None else default_centralized_q(n, epsilon)
-        if q < 2:
-            raise InvalidParameterError(f"q must be >= 2, got {q}")
         super().__init__(
             n,
             epsilon,

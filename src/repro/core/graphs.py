@@ -34,11 +34,12 @@ whose ``accept_block`` runs through the engine's
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..distributions.discrete import DiscreteDistribution, uniform
+from ..distributions.generators import two_level_distribution
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
 from .base import TesterResources, UniformityTester
@@ -55,20 +56,74 @@ from .players import (
 STATISTIC_MODES = ("edges", "distinct")
 
 
+def _complete_edges(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    later = np.arange(q, dtype=np.int64)
+    edge_u = np.arange(q * (q - 1) // 2, dtype=np.int64)
+    edge_u -= np.repeat(later * (later - 1) // 2, later)
+    return edge_u, np.repeat(later, later)
+
+
+def _cycle_edges(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    # The path 0-1-…-(q-1), then the closing edge (0, q-1) sorted in
+    # ahead of (q-2, q-1).
+    edge_u = np.concatenate((np.arange(q - 2), [0, q - 2]))
+    edge_v = np.concatenate((np.arange(1, q - 1), [q - 1, q - 1]))
+    return edge_u.astype(np.int64), edge_v.astype(np.int64)
+
+
+def _bipartite_edges(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    split = (q + 1) // 2
+    edge_u = np.tile(np.arange(split, dtype=np.int64), q - split)
+    return edge_u, np.repeat(np.arange(split, q, dtype=np.int64), split)
+
+
+def _star_edges(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    return np.zeros(q - 1, dtype=np.int64), np.arange(1, q, dtype=np.int64)
+
+
+def _matching_edges(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    return np.arange(0, q, 2, dtype=np.int64), np.arange(1, q, 2, dtype=np.int64)
+
+
+class _ClosedForm(NamedTuple):
+    """A family whose edges follow from ``q`` alone: valid sizes, ``|E|``,
+    and ``q → (edge_u, edge_v)`` already canonical (``u < v``, sorted by
+    ``(v, u)``, ``int64``)."""
+
+    min_q: int
+    even: bool
+    num_edges: Callable[[int], int]
+    edges: Callable[[int], Tuple[np.ndarray, np.ndarray]]
+
+
+_CLOSED_FORMS: Dict[str, _ClosedForm] = {
+    "complete": _ClosedForm(2, False, lambda q: q * (q - 1) // 2, _complete_edges),
+    "star": _ClosedForm(2, False, lambda q: q - 1, _star_edges),
+    "matching": _ClosedForm(2, True, lambda q: q // 2, _matching_edges),
+    "cycle": _ClosedForm(3, False, lambda q: q, _cycle_edges),
+    "bipartite": _ClosedForm(2, False, lambda q: (q + 1) // 2 * (q // 2), _bipartite_edges),
+}
+
+
 class ComparisonGraph:
     """A comparison graph: ``q`` sample slots plus a set of compared pairs.
 
-    Edges are stored as two parallel ``int64`` arrays with ``u < v``,
+    Edges are exposed as two parallel ``int64`` arrays with ``u < v``,
     sorted by ``(v, u)`` so later-endpoint grouping (the *distinct*
-    statistic) is one ``reduceat``.  Structured families carry their
-    ``family`` name so fast paths and cache tokens can recognise them
-    without inspecting the edge lists.
+    statistic) is one ``reduceat``.  An explicit edge list
+    (``ComparisonGraph(q, edges)``, any free ``family`` label such as
+    ``"regular3"``) is validated and canonicalised on construction.  A
+    closed-form family (``ComparisonGraph(q, family="complete")``, and
+    star/matching/cycle/bipartite) takes no edge list: ``num_edges`` is
+    its closed form and the arrays are generated on first read, so
+    ``K_q`` costs nothing until a caller needs its edges — and its label
+    can never disagree with them.
     """
 
     def __init__(
         self,
         num_vertices: int,
-        edges: Any,
+        edges: Any = None,
         family: str = "explicit",
     ):
         if num_vertices < 2:
@@ -77,7 +132,34 @@ class ComparisonGraph:
             )
         self.num_vertices = int(num_vertices)
         self.family = str(family)
-        pairs = np.asarray(edges, dtype=np.int64)
+        self._content_hash: Optional[str] = None
+        self._edges: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        closed_form = _CLOSED_FORMS.get(self.family)
+        if closed_form is not None:
+            if edges is not None:
+                raise InvalidParameterError(
+                    f"{self.family!r} is a closed-form family; its edges are "
+                    "generated, not passed"
+                )
+            if self.num_vertices < closed_form.min_q or (
+                closed_form.even and self.num_vertices % 2
+            ):
+                parity = "even " if closed_form.even else ""
+                raise InvalidParameterError(
+                    f"{self.family} graph needs {parity}q >= {closed_form.min_q}, "
+                    f"got {self.num_vertices}"
+                )
+            self.num_edges = int(closed_form.num_edges(self.num_vertices))
+            return
+        if edges is None:
+            raise InvalidParameterError(
+                f"family {self.family!r} has no closed form; pass its edges"
+            )
+        raw = np.asarray(edges)
+        with np.errstate(invalid="ignore"):
+            pairs = raw.astype(np.int64)
+        if not np.array_equal(pairs, raw):
+            raise InvalidParameterError("edge endpoints must be integers")
         if pairs.size == 0:
             raise InvalidParameterError("a comparison graph needs >= 1 edge")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -93,16 +175,28 @@ class ComparisonGraph:
         if np.any(low == high):
             raise InvalidParameterError("self-loops are not comparisons")
         order = np.lexsort((low, high))
-        self.edge_u = np.ascontiguousarray(low[order])
-        self.edge_v = np.ascontiguousarray(high[order])
-        keys = self.edge_u * self.num_vertices + self.edge_v
+        edge_u = np.ascontiguousarray(low[order])
+        edge_v = np.ascontiguousarray(high[order])
+        keys = edge_u * self.num_vertices + edge_v
         if np.unique(keys).size != keys.size:
             raise InvalidParameterError("duplicate edges are not allowed")
-        self._content_hash: Optional[str] = None
+        self._edges = (edge_u, edge_v)
+        self.num_edges = int(keys.size)
+
+    def _canonical_edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._edges is None:
+            self._edges = _CLOSED_FORMS[self.family].edges(self.num_vertices)
+        return self._edges
 
     @property
-    def num_edges(self) -> int:
-        return int(self.edge_u.size)
+    def edge_u(self) -> np.ndarray:
+        """Earlier endpoint of each edge (generated on first read)."""
+        return self._canonical_edges()[0]
+
+    @property
+    def edge_v(self) -> np.ndarray:
+        """Later endpoint of each edge (generated on first read)."""
+        return self._canonical_edges()[1]
 
     @property
     def degrees(self) -> np.ndarray:
@@ -138,46 +232,27 @@ class ComparisonGraph:
 
 def complete_graph(q: int) -> ComparisonGraph:
     """``K_q``: every pair compared — the classical collision statistic."""
-    if q < 2:
-        raise InvalidParameterError(f"complete graph needs q >= 2, got {q}")
-    u, v = np.triu_indices(q, k=1)
-    return ComparisonGraph(q, np.column_stack((u, v)), family="complete")
+    return ComparisonGraph(q, family="complete")
 
 
 def star_graph(q: int) -> ComparisonGraph:
     """Vertex 0 compared against every other slot (``q - 1`` edges)."""
-    if q < 2:
-        raise InvalidParameterError(f"star graph needs q >= 2, got {q}")
-    leaves = np.arange(1, q, dtype=np.int64)
-    hub = np.zeros(q - 1, dtype=np.int64)
-    return ComparisonGraph(q, np.column_stack((hub, leaves)), family="star")
+    return ComparisonGraph(q, family="star")
 
 
 def matching_graph(q: int) -> ComparisonGraph:
     """A perfect matching ``(0,1), (2,3), …`` — independent pairs."""
-    if q < 2 or q % 2 != 0:
-        raise InvalidParameterError(f"matching needs even q >= 2, got {q}")
-    left = np.arange(0, q, 2, dtype=np.int64)
-    return ComparisonGraph(q, np.column_stack((left, left + 1)), family="matching")
+    return ComparisonGraph(q, family="matching")
 
 
 def cycle_graph(q: int) -> ComparisonGraph:
     """The ``q``-cycle: each slot compared with its two neighbours."""
-    if q < 3:
-        raise InvalidParameterError(f"cycle graph needs q >= 3, got {q}")
-    u = np.arange(q, dtype=np.int64)
-    v = (u + 1) % q
-    return ComparisonGraph(q, np.column_stack((u, v)), family="cycle")
+    return ComparisonGraph(q, family="cycle")
 
 
 def bipartite_graph(q: int) -> ComparisonGraph:
     """Complete bipartite graph between the two halves of the slots."""
-    if q < 2:
-        raise InvalidParameterError(f"bipartite graph needs q >= 2, got {q}")
-    split = (q + 1) // 2
-    left = np.repeat(np.arange(split, dtype=np.int64), q - split)
-    right = np.tile(np.arange(split, q, dtype=np.int64), split)
-    return ComparisonGraph(q, np.column_stack((left, right)), family="bipartite")
+    return ComparisonGraph(q, family="bipartite")
 
 
 def random_regular_graph(q: int, degree: int, seed: int = 0) -> ComparisonGraph:
@@ -205,14 +280,10 @@ def random_regular_graph(q: int, degree: int, seed: int = 0) -> ComparisonGraph:
     stubs = np.repeat(np.arange(q, dtype=np.int64), degree)
     for _ in range(1000):
         paired = generator.permutation(stubs).reshape(-1, 2)
-        low = paired.min(axis=1)
-        high = paired.max(axis=1)
-        if np.any(low == high):
-            continue
-        keys = low * q + high
-        if np.unique(keys).size != keys.size:
-            continue
-        return ComparisonGraph(q, paired, family=f"regular{degree}")
+        try:
+            return ComparisonGraph(q, paired, family=f"regular{degree}")
+        except InvalidParameterError:
+            continue  # a self-loop or a repeated edge: redraw
     raise InvalidParameterError(
         f"could not draw a simple {degree}-regular graph on {q} vertices"
     )
@@ -244,10 +315,11 @@ def snap_family_size(family: str, q: int) -> int:
             f"unknown graph family {family!r}; known: {sorted(GRAPH_FAMILIES)}"
         )
     snapped = max(2, int(q))
-    if family == "matching" and snapped % 2 != 0:
-        snapped += 1
-    if family == "cycle":
-        snapped = max(3, snapped)
+    if family in _CLOSED_FORMS:
+        closed_form = _CLOSED_FORMS[family]
+        snapped = max(closed_form.min_q, snapped)
+        if closed_form.even and snapped % 2:
+            snapped += 1
     if family.startswith("regular"):
         degree = int(family[len("regular"):])
         snapped = max(degree + 1, snapped)
@@ -279,8 +351,9 @@ def graph_statistic_block(
     (under the canonical ``u < v`` orientation) — for the complete graph
     these are exactly the pairwise collision count and the distinct-value
     count, and both take the sort-based fast paths of
-    :mod:`repro.core.players` instead of materialising ``O(q²)`` edges.
-    Fully vectorised across rows; ``int64`` either way.
+    :mod:`repro.core.players` instead of generating ``O(q²)`` edges (only
+    the closed-form ``K_q`` carries the ``"complete"`` label, so trusting
+    it is safe).  Fully vectorised across rows; ``int64`` either way.
     """
     _validate_mode(mode)
     matrix = np.asarray(samples, dtype=np.int64)
@@ -353,9 +426,7 @@ def midpoint_threshold(graph: ComparisonGraph, n: int, epsilon: float) -> float:
     return graph.num_edges * (1.0 + epsilon**2 / 2.0) / n
 
 
-def worst_case_statistic_proxy(
-    graph: ComparisonGraph, n: int, epsilon: float
-) -> DiscreteDistribution:
+def worst_case_statistic_proxy(n: int, epsilon: float) -> DiscreteDistribution:
     """The least-detectable ε-far distribution for graph calibration.
 
     The two-level distribution (pmf values ``(1±ε)/n``) minimises
@@ -364,16 +435,35 @@ def worst_case_statistic_proxy(
     either mode, on every graph — depends only on the multiset of
     probabilities.  Calibrating on it is therefore exact for the whole
     hard family ν_z and conservative for every other ε-far input, for
-    **every** graph family; the ``graph`` argument pins the calibration
-    call to its family in the signature (and guards the domain check)
-    rather than silently reusing a collision-specific constant.
+    **every** graph family, so the proxy needs no graph.
     """
-    from ..distributions.generators import two_level_distribution
-
-    if n <= graph.num_vertices and n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
     even_n = n if n % 2 == 0 else n - 1
     return two_level_distribution(even_n, epsilon)
+
+
+def uniform_and_proxy_statistics(
+    statistic: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    epsilon: float,
+    q: int,
+    trials: int,
+    rng: RngLike,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``statistic`` of ``trials × q`` sample matrices under ``U_n`` and
+    under the worst-case ε-far proxy.
+
+    The uniform matrix is drawn first, then the proxy's, on one shared
+    generator: the draw order every proxy calibration in the library
+    (graph alarm probabilities and distinct cuts, sketched streaming
+    cuts, multi-bit quantiles) is pinned to.
+    """
+    if trials < 100:
+        raise InvalidParameterError(f"trials must be >= 100, got {trials}")
+    generator = ensure_rng(rng)
+    uniform_stats = statistic(uniform(n).sample_matrix(trials, q, generator))
+    far = worst_case_statistic_proxy(n, epsilon)
+    far_stats = statistic(far.sample_matrix(trials, q, generator))
+    return uniform_stats, far_stats
 
 
 def exact_no_collision_probability(
@@ -392,9 +482,7 @@ def exact_no_collision_probability(
     m = graph.num_edges
     if graph.family == "complete":
         return birthday_no_collision_probability(n, q)
-    if graph.family == "matching":
-        return (1.0 - 1.0 / n) ** m
-    if graph.family == "star":
+    if graph.family in ("matching", "star"):
         return (1.0 - 1.0 / n) ** m
     if graph.family == "cycle":
         colourings = (n - 1.0) ** q + ((-1.0) ** q) * (n - 1.0)
@@ -416,16 +504,13 @@ def statistic_alarm_probabilities(
     The draw order is the uniform matrix first, then the proxy's, on one
     shared generator.
     """
-    if trials < 100:
-        raise InvalidParameterError(f"trials must be >= 100, got {trials}")
-    q = graph.num_vertices
-    generator = ensure_rng(rng)
-    uniform_stats = graph_statistic_block(
-        graph, uniform(n).sample_matrix(trials, q, generator)
-    )
-    far = worst_case_statistic_proxy(graph, n, epsilon)
-    far_stats = graph_statistic_block(
-        graph, far.sample_matrix(trials, q, generator)
+    uniform_stats, far_stats = uniform_and_proxy_statistics(
+        lambda samples: graph_statistic_block(graph, samples),
+        n,
+        epsilon,
+        graph.num_vertices,
+        trials,
+        rng,
     )
     p_uniform = float((uniform_stats > threshold).mean())
     p_far = float((far_stats > threshold).mean())
@@ -528,16 +613,13 @@ def calibrate_distinct_threshold(
     :class:`~repro.core.baselines.UniqueElementsTester` calibration
     bit-for-bit on the complete graph.
     """
-    if trials < 100:
-        raise InvalidParameterError(f"trials must be >= 100, got {trials}")
-    q = graph.num_vertices
-    generator = ensure_rng(rng)
-    uniform_distinct = graph_statistic_block(
-        graph, uniform(n).sample_matrix(trials, q, generator), mode="distinct"
-    )
-    far = worst_case_statistic_proxy(graph, n, epsilon)
-    far_distinct = graph_statistic_block(
-        graph, far.sample_matrix(trials, q, generator), mode="distinct"
+    uniform_distinct, far_distinct = uniform_and_proxy_statistics(
+        lambda samples: graph_statistic_block(graph, samples, mode="distinct"),
+        n,
+        epsilon,
+        graph.num_vertices,
+        trials,
+        rng,
     )
     return 0.5 * (float(uniform_distinct.mean()) + float(far_distinct.mean()))
 

@@ -23,10 +23,10 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..distributions.discrete import DiscreteDistribution, uniform
+from ..distributions.discrete import DiscreteDistribution
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike, ensure_rng
-from .graphs import complete_graph, worst_case_statistic_proxy
+from .graphs import uniform_and_proxy_statistics
 from .players import collision_counts
 from .testers import TesterResources, UniformityTester, default_distributed_q
 
@@ -85,17 +85,12 @@ class MultibitThresholdTester(UniformityTester):
         if self.q < 2:
             raise InvalidParameterError(f"q must be >= 2, got {self.q}")
 
-        generator = ensure_rng(calibration_rng)
-        uniform_counts = collision_counts(
-            uniform(n).sample_matrix(calibration_trials, self.q, generator)
+        uniform_counts, far_counts = uniform_and_proxy_statistics(
+            collision_counts, n, epsilon, self.q, calibration_trials, calibration_rng
         )
         # Degenerate quantiles (all counts equal) are legal: every message
         # is then the same level and the tester is uninformative but valid.
         self.boundaries = quantile_boundaries(uniform_counts, self.num_levels)
-        far = worst_case_statistic_proxy(complete_graph(2), n, epsilon)
-        far_counts = collision_counts(
-            far.sample_matrix(calibration_trials, self.q, generator)
-        )
         uniform_levels = np.searchsorted(
             self.boundaries, uniform_counts, side="right"
         )

@@ -47,14 +47,12 @@ acceptance cache work unchanged.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..distributions.discrete import uniform
-from ..distributions.generators import two_level_distribution
 from ..exceptions import InvalidParameterError
-from ..rng import RngLike, ensure_rng
+from ..rng import RngLike
 from .graphs import (
     ComparisonGraph,
     _validate_mode,
@@ -62,6 +60,7 @@ from .graphs import (
     complete_graph,
     graph_statistic_block,
     midpoint_threshold,
+    uniform_and_proxy_statistics,
 )
 from .players import collision_counts, unique_counts
 
@@ -127,33 +126,6 @@ def _bucket_histogram(values: np.ndarray, num_buckets: int) -> np.ndarray:
         (values + offsets).ravel(), minlength=trials * num_buckets
     )
     return flat.reshape(trials, num_buckets)
-
-
-def calibrate_sketch_threshold(
-    statistic: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    epsilon: float,
-    q: int,
-    trials: int = 3000,
-    rng: RngLike = 0,
-) -> float:
-    """Monte-Carlo midpoint cut for a (possibly sketched) batch statistic.
-
-    Mirrors :func:`~repro.core.graphs.calibrate_distinct_threshold`'s
-    draw order exactly — uniform matrix first, then the worst-case
-    ε-far proxy's, on one shared generator — so exact configurations
-    calibrated here coincide with the graph-layer calibrations.
-    """
-    if trials < 100:
-        raise InvalidParameterError(f"trials must be >= 100, got {trials}")
-    generator = ensure_rng(rng)
-    uniform_stats = statistic(uniform(n).sample_matrix(trials, q, generator))
-    # Same far proxy as worst_case_statistic_proxy(K_q, ...), constructed
-    # without materialising K_q's O(q^2) edge arrays — the memory sweeps
-    # probe q far past where an explicit complete graph is affordable.
-    far = two_level_distribution(n if n % 2 == 0 else n - 1, epsilon)
-    far_stats = statistic(far.sample_matrix(trials, q, generator))
-    return 0.5 * (float(uniform_stats.mean()) + float(far_stats.mean()))
 
 
 class StreamingTester(abc.ABC):
@@ -282,24 +254,17 @@ def run_streaming(
     return tester.finalize(state)
 
 
-class StreamingCollisionTester(StreamingTester):
-    """Incremental pairwise-collision tester (streaming ``K_q``).
+class _HistogramSetup:
+    """Set-up shared by the value-histogram testers (a mixin, so both
+    stay direct :class:`StreamingTester` subclasses).
 
-    State per trial: a ``B``-bucket value histogram plus one running
-    pair count.  Each block adds its within-block colliding pairs and
-    its cross pairs against the histogram, then folds into the
-    histogram — maintaining ``Σ_v C(c_v, 2)`` exactly for any block
-    partition.
-
-    ``num_buckets=None`` (exact, ``B = n``): the accept rule
-    ``pairs <= midpoint_threshold(K_q, n, ε)`` is bit-identical to
-    :class:`~repro.core.testers.CentralizedCollisionTester` on the same
-    sample matrix.  ``num_buckets=B < n``: values are sketched by
-    :func:`sketch_buckets` — memory drops to ``O(B)`` independent of
-    ``n`` —
-    and the cut is the Monte-Carlo midpoint of the bucketed statistic
-    (:func:`calibrate_sketch_threshold`), pinned to the bucketed batch
-    oracle ``collision_counts(sketch_buckets(matrix, B))``.
+    ``num_buckets=None`` counts values exactly (``B = n``) and defaults
+    to the cut of the batch tester it mirrors (:meth:`_exact_threshold`);
+    ``num_buckets=B`` sketches values into ``B`` buckets
+    (:func:`sketch_buckets`) — memory ``O(B)``, independent of ``n`` —
+    and defaults to the Monte-Carlo midpoint of the bucketed batch
+    statistic between ``U_n`` and the worst-case ε-far proxy
+    (:func:`~repro.core.graphs.uniform_and_proxy_statistics`).
     """
 
     # v2: sketch hash switched to the fmix64 avalanche mixer.
@@ -329,20 +294,53 @@ class StreamingCollisionTester(StreamingTester):
         if threshold is not None:
             self.statistic_threshold = float(threshold)
         elif self.num_buckets is None:
-            # K_q's num_edges times the analytic midpoint factor — the
-            # same arithmetic as midpoint_threshold(complete_graph(q)),
-            # minus the O(q^2) edge arrays.
-            pair_count = self.q * (self.q - 1) // 2
-            self.statistic_threshold = pair_count * (1.0 + epsilon**2 / 2.0) / n
+            self.statistic_threshold = self._exact_threshold(
+                calibration_trials, calibration_rng
+            )
         else:
-            self.statistic_threshold = calibrate_sketch_threshold(
+            uniform_stats, far_stats = uniform_and_proxy_statistics(
                 self.batch_statistic,
                 n,
                 epsilon,
                 self.q,
-                trials=calibration_trials,
-                rng=calibration_rng,
+                calibration_trials,
+                calibration_rng,
             )
+            self.statistic_threshold = 0.5 * (
+                float(uniform_stats.mean()) + float(far_stats.mean())
+            )
+
+    def _values(self, block: np.ndarray) -> np.ndarray:
+        """The histogram keys of a block: its values, or their buckets."""
+        if self.num_buckets is None:
+            return block
+        return sketch_buckets(block, self._buckets)
+
+    def _token_extra(self) -> Dict[str, Any]:
+        return {
+            "buckets": self._buckets,
+            "sketched": self.num_buckets is not None,
+            "threshold": float(self.statistic_threshold),
+        }
+
+
+class StreamingCollisionTester(_HistogramSetup, StreamingTester):
+    """Incremental pairwise-collision tester (streaming ``K_q``).
+
+    State per trial: a ``B``-bucket value histogram plus one running
+    pair count.  Each block adds its within-block colliding pairs and
+    its cross pairs against the histogram, then folds into the
+    histogram — maintaining ``Σ_v C(c_v, 2)`` exactly for any block
+    partition.
+
+    Exact: the accept rule ``pairs <= midpoint_threshold(K_q, n, ε)`` is
+    bit-identical to :class:`~repro.core.testers.CentralizedCollisionTester`
+    on the same sample matrix.  Sketched: pinned to the bucketed batch
+    oracle ``collision_counts(sketch_buckets(matrix, B))``.
+    """
+
+    def _exact_threshold(self, trials: int, rng: RngLike) -> float:
+        return midpoint_threshold(complete_graph(self.q), self.n, self.epsilon)
 
     def init_state(self, trials: int) -> Dict[str, np.ndarray]:
         return {
@@ -351,12 +349,7 @@ class StreamingCollisionTester(StreamingTester):
         }
 
     def update(self, state: Dict[str, np.ndarray], sample_block: np.ndarray) -> None:
-        block = _as_block(sample_block)
-        values = (
-            block
-            if self.num_buckets is None
-            else sketch_buckets(block, self._buckets)
-        )
+        values = self._values(_as_block(sample_block))
         histogram = state["histogram"]
         cross = np.take_along_axis(histogram, values, axis=1).sum(axis=1)
         state["pair_count"] += collision_counts(values) + cross
@@ -366,10 +359,7 @@ class StreamingCollisionTester(StreamingTester):
         return state["pair_count"] <= self.statistic_threshold
 
     def batch_statistic(self, matrix: np.ndarray) -> np.ndarray:
-        block = _as_block(matrix)
-        if self.num_buckets is None:
-            return collision_counts(block)
-        return collision_counts(sketch_buckets(block, self._buckets))
+        return collision_counts(self._values(_as_block(matrix)))
 
     def batch_verdicts(self, matrix: np.ndarray) -> np.ndarray:
         return self.batch_statistic(matrix) <= self.statistic_threshold
@@ -378,70 +368,22 @@ class StreamingCollisionTester(StreamingTester):
     def state_bytes(self) -> int:
         return 8 * (self._buckets + 1) + STATE_SLACK_BYTES
 
-    def _token_extra(self) -> Dict[str, Any]:
-        return {
-            "buckets": self._buckets,
-            "sketched": self.num_buckets is not None,
-            "threshold": float(self.statistic_threshold),
-        }
 
-
-class StreamingDistinctTester(StreamingTester):
+class StreamingDistinctTester(_HistogramSetup, StreamingTester):
     """Incremental distinct-element tester (streaming unique counts).
 
     State per trial: the ``B``-bucket histogram alone; the distinct
     count is its number of non-empty buckets, read off at finalize.
-    ``num_buckets=None`` (exact): bit-identical to
-    :class:`~repro.core.baselines.UniqueElementsTester` under the same
-    defaults (its ``calibrate_distinct_threshold`` cut, accept iff
-    ``distinct >= t``).  ``num_buckets=B``: the bucketed distinct count
-    with a :func:`calibrate_sketch_threshold` midpoint cut, pinned to
-    ``unique_counts(sketch_buckets(matrix, B))``.
+    Exact: bit-identical to :class:`~repro.core.baselines.
+    UniqueElementsTester` under the same defaults (its
+    ``calibrate_distinct_threshold`` cut, accept iff ``distinct >= t``).
+    Sketched: pinned to ``unique_counts(sketch_buckets(matrix, B))``.
     """
 
-    # v2: sketch hash switched to the fmix64 avalanche mixer.
-    kernel_version = 2
-
-    def __init__(
-        self,
-        n: int,
-        epsilon: float,
-        q: Optional[int] = None,
-        num_buckets: Optional[int] = None,
-        threshold: Optional[float] = None,
-        calibration_rng: RngLike = 0,
-        calibration_trials: int = 3000,
-    ):
-        if q is None:
-            from .testers import default_centralized_q
-
-            q = default_centralized_q(n, epsilon)
-        super().__init__(n, epsilon, q)
-        if num_buckets is not None and not 2 <= num_buckets:
-            raise InvalidParameterError(
-                f"num_buckets must be >= 2, got {num_buckets}"
-            )
-        self.num_buckets = None if num_buckets is None else int(num_buckets)
-        self._buckets = self.n if self.num_buckets is None else self.num_buckets
-        if threshold is not None:
-            self.statistic_threshold = float(threshold)
-        elif self.num_buckets is None:
-            self.statistic_threshold = calibrate_distinct_threshold(
-                complete_graph(self.q),
-                n,
-                epsilon,
-                trials=calibration_trials,
-                rng=calibration_rng,
-            )
-        else:
-            self.statistic_threshold = calibrate_sketch_threshold(
-                self.batch_statistic,
-                n,
-                epsilon,
-                self.q,
-                trials=calibration_trials,
-                rng=calibration_rng,
-            )
+    def _exact_threshold(self, trials: int, rng: RngLike) -> float:
+        return calibrate_distinct_threshold(
+            complete_graph(self.q), self.n, self.epsilon, trials=trials, rng=rng
+        )
 
     def init_state(self, trials: int) -> Dict[str, np.ndarray]:
         return {
@@ -449,12 +391,7 @@ class StreamingDistinctTester(StreamingTester):
         }
 
     def update(self, state: Dict[str, np.ndarray], sample_block: np.ndarray) -> None:
-        block = _as_block(sample_block)
-        values = (
-            block
-            if self.num_buckets is None
-            else sketch_buckets(block, self._buckets)
-        )
+        values = self._values(_as_block(sample_block))
         state["histogram"] += _bucket_histogram(values, self._buckets)
 
     def finalize(self, state: Dict[str, np.ndarray]) -> np.ndarray:
@@ -462,10 +399,7 @@ class StreamingDistinctTester(StreamingTester):
         return distinct >= self.statistic_threshold
 
     def batch_statistic(self, matrix: np.ndarray) -> np.ndarray:
-        block = _as_block(matrix)
-        if self.num_buckets is None:
-            return unique_counts(block)
-        return unique_counts(sketch_buckets(block, self._buckets))
+        return unique_counts(self._values(_as_block(matrix)))
 
     def batch_verdicts(self, matrix: np.ndarray) -> np.ndarray:
         return self.batch_statistic(matrix) >= self.statistic_threshold
@@ -473,13 +407,6 @@ class StreamingDistinctTester(StreamingTester):
     @property
     def state_bytes(self) -> int:
         return 8 * self._buckets + STATE_SLACK_BYTES
-
-    def _token_extra(self) -> Dict[str, Any]:
-        return {
-            "buckets": self._buckets,
-            "sketched": self.num_buckets is not None,
-            "threshold": float(self.statistic_threshold),
-        }
 
 
 class StreamingGraphTester(StreamingTester):

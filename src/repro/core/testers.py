@@ -151,8 +151,6 @@ class CentralizedCollisionTester(ComparisonGraphTester):
         # Validate (n, epsilon) before they feed the default-q formula.
         UniformityTester.__init__(self, n, epsilon)
         q = q if q is not None else default_centralized_q(n, epsilon)
-        if q < 2:
-            raise InvalidParameterError(f"q must be >= 2, got {q}")
         super().__init__(n, epsilon, complete_graph(q), mode="edges")
 
 
@@ -250,9 +248,6 @@ class ThresholdRuleTester(ProtocolBackedTester):
             raise InvalidParameterError(f"k must be >= 1, got {k}")
         self.k = int(k)
         self.q = q if q is not None else default_distributed_q(n, k, epsilon)
-        if self.q < 2:
-            raise InvalidParameterError(f"q must be >= 2, got {self.q}")
-
         player_graph = complete_graph(self.q)
         if forced_T is None:
             threshold = midpoint_threshold(player_graph, self.n, self.epsilon)
@@ -318,8 +313,6 @@ class AndRuleTester(ProtocolBackedTester):
             raise InvalidParameterError(f"k must be >= 1, got {k}")
         self.k = int(k)
         self.q = q if q is not None else default_centralized_q(n, epsilon)
-        if self.q < 2:
-            raise InvalidParameterError(f"q must be >= 2, got {self.q}")
         threshold, estimate = calibrate_statistic_threshold(
             complete_graph(self.q),
             n,

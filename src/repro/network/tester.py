@@ -114,8 +114,6 @@ class NetworkUniformityTester:
         self.epsilon = float(epsilon)
         if comparison_graph is None:
             q = q if q is not None else default_distributed_q(n, self.k, epsilon)
-            if q < 2:
-                raise InvalidParameterError(f"q must be >= 2, got {q}")
             comparison_graph = complete_graph(q)
         elif q is not None and q != comparison_graph.num_vertices:
             raise InvalidParameterError(

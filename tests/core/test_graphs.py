@@ -48,6 +48,7 @@ from repro.core.graphs import (
     worst_case_statistic_proxy,
 )
 from repro.core.players import collision_counts, unique_counts
+from repro.core.streaming import StreamingCollisionTester
 from repro.core.testers import CentralizedCollisionTester
 from repro.distributions.discrete import uniform
 from repro.exceptions import InvalidParameterError
@@ -84,11 +85,87 @@ class TestConstruction:
             [(0, 1), (1, 0)],  # duplicate after canonicalisation
             [(0, 5)],  # endpoint out of range
             [],  # no edges
+            [(0, 1.5)],  # non-integer endpoint
         ],
     )
     def test_rejects_malformed_edge_lists(self, bad):
         with pytest.raises(InvalidParameterError):
             ComparisonGraph(5, bad)
+
+    def test_closed_form_label_rejects_an_edge_list(self):
+        # The statistic trusts closed-form labels (K_q takes the sort
+        # fast path), so a label that could disagree with the edges must
+        # never be built: [5, 6, 5, 5] has Y_G = 0 on this edge list, but
+        # 3 colliding pairs on K_4.
+        with pytest.raises(InvalidParameterError):
+            ComparisonGraph(4, [(0, 1)], family="complete")
+        with pytest.raises(InvalidParameterError):
+            ComparisonGraph(4, family="explicit")
+        for label in ("explicit", "regular3"):
+            graph = ComparisonGraph(4, [(0, 1)], family=label)
+            assert graph_statistic_block(graph, [5, 6, 5, 5]).tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "family, q",
+        [
+            (family, q)
+            for family, sizes in {
+                "complete": (2, 7, 8, 200),
+                "star": (2, 7, 8, 201),
+                "matching": (2, 8, 200),
+                "cycle": (3, 7, 8, 199),
+                "bipartite": (2, 7, 8, 200),
+            }.items()
+            for q in sizes
+        ],
+    )
+    def test_closed_form_matches_explicit_oracle(self, family, q):
+        """Generated canonical arrays equal what the explicit constructor
+        makes of the same edges, shuffled and randomly oriented."""
+        closed = build_family_graph(family, q)
+        assert closed.family == family and closed.num_vertices == q
+        generator = default_rng(q)
+        pairs = np.column_stack((closed.edge_u, closed.edge_v))
+        pairs = generator.permutation(pairs)
+        flip = generator.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip][:, ::-1]
+        oracle = ComparisonGraph(q, pairs)
+        assert np.array_equal(closed.edge_u, oracle.edge_u)
+        assert np.array_equal(closed.edge_v, oracle.edge_v)
+        assert closed.edge_u.dtype == closed.edge_v.dtype == np.int64
+        assert closed.num_edges == oracle.num_edges
+        assert np.array_equal(closed.degrees, oracle.degrees)
+        assert closed.num_cherries == oracle.num_cherries
+        assert closed.content_hash() == oracle.content_hash()
+
+    def test_content_hash_digests_are_pinned(self):
+        # Cache tokens embed these digests; recorded before closed-form
+        # families generated their own edge arrays.
+        assert complete_graph(8).content_hash() == "65b9fe0c37604309"
+        assert bipartite_graph(9).content_hash() == "8e94b037b39df8ed"
+        assert cycle_graph(9).content_hash() == "4f005b9c17b6c362"
+        assert random_regular_graph(12, 3, seed=5).content_hash() == "b54e4f7a9cec6929"
+
+    def test_large_closed_form_builds_allocate_no_edges(self):
+        """K_q and friends at q = 10⁵ (~5·10⁹ edges) cost O(1) memory
+        until a caller reads their edge arrays."""
+        import tracemalloc
+
+        q, n, eps = 10**5, 1000, 0.5
+        tracemalloc.start()
+        try:
+            complete = complete_graph(q)
+            bipartite = bipartite_graph(q)
+            batch = CentralizedCollisionTester(n, eps, q=q)
+            streaming = StreamingCollisionTester(n, eps, q=q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert complete.num_edges == q * (q - 1) // 2
+        assert bipartite.num_edges == (q // 2) ** 2
+        assert batch.graph.num_edges == q * (q - 1) // 2
+        assert streaming.statistic_threshold == midpoint_threshold(complete, n, eps)
 
     def test_family_edge_counts(self):
         assert complete_graph(8).num_edges == 28
@@ -206,7 +283,7 @@ class TestMoments:
     def test_far_mean_bound_attained_by_two_level_proxy(self, name):
         graph = GRAPHS[name]
         bound = far_statistic_mean_bound(graph, N, EPS)
-        proxy = worst_case_statistic_proxy(graph, N, EPS)
+        proxy = worst_case_statistic_proxy(N, EPS)
         stats = graph_statistic_block(
             graph, proxy.sample_matrix(20_000, graph.num_vertices, default_rng(8))
         )
@@ -260,7 +337,7 @@ class TestLegacyEquivalence:
             UNIFORM.sample_matrix(3000, 12, generator)
         ).mean()
         far_mean = unique_counts(
-            worst_case_statistic_proxy(complete_graph(12), N, EPS).sample_matrix(
+            worst_case_statistic_proxy(N, EPS).sample_matrix(
                 3000, 12, generator
             )
         ).mean()
@@ -299,11 +376,12 @@ class TestLegacyEquivalence:
             )
 
     def test_worst_case_collision_proxy_is_graph_proxy(self):
-        """The collision proxy (``K_2``, as the multibit calibration uses
-        it) is the same distribution for every comparison graph."""
-        collision = worst_case_statistic_proxy(complete_graph(2), N, EPS)
-        graph = worst_case_statistic_proxy(cycle_graph(5), N, EPS)
-        assert np.array_equal(collision.pmf, graph.pmf)
+        """One graph-free proxy serves every calibration: the two-level
+        distribution, on the largest even domain inside ``n``."""
+        proxy = worst_case_statistic_proxy(N, EPS)
+        assert np.array_equal(proxy.pmf, repro.two_level_distribution(N, EPS).pmf)
+        odd = worst_case_statistic_proxy(N + 1, EPS)
+        assert np.array_equal(odd.pmf, repro.two_level_distribution(N, EPS).pmf)
 
     @pytest.mark.parametrize("seed", [0, 42])
     def test_graph_player_is_collision_bit_player(self, seed):

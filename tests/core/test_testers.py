@@ -57,7 +57,7 @@ class TestDefaults:
         assert max_alarm_rate_for_threshold(4, 5) == 1.0
 
     def test_worst_case_proxy_properties(self):
-        proxy = worst_case_statistic_proxy(complete_graph(2), N, EPS)
+        proxy = worst_case_statistic_proxy(N, EPS)
         assert distance_to_uniform(proxy) == pytest.approx(EPS)
         assert proxy.l2_norm_squared() == pytest.approx((1 + EPS**2) / N)
 

@@ -83,9 +83,9 @@ class TestEndToEndTesting:
     def test_collision_statistics_identical_across_family(self):
         """The calibration proxy claim: collision-count distributions are
         the same for every ν_z (probabilities are a permuted multiset)."""
-        n, eps, q = 64, 0.5, 12
+        n, eps = 64, 0.5
         family = repro.PaninskiFamily(n, eps)
-        proxy = worst_case_statistic_proxy(complete_graph(q), n, eps)
+        proxy = worst_case_statistic_proxy(n, eps)
         proxy_sorted = np.sort(proxy.pmf)
         for seed in range(5):
             member = family.sample_distribution(seed)
