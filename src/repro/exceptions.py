@@ -36,4 +36,11 @@ class ProtocolError(ReproError, RuntimeError):
 
 class SearchDivergedError(ReproError, RuntimeError):
     """An empirical sample-complexity search failed to bracket its target
-    within the configured budget."""
+    within the configured budget.
+
+    ``result`` holds the censored partial search (the levels it probed,
+    ``resource_star`` at the cap), or ``None`` when not supplied."""
+
+    def __init__(self, message: str, result: object = None) -> None:
+        super().__init__(message)
+        self.result = result

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..core.learning import HitCountingLearner
 from ..distributions.families import PaninskiFamily
-from ..exceptions import InvalidParameterError
 from ..lowerbounds.theorems import theorem_1_4_k_lower
+from ..stats.complexity import _search
 from ..stats.fitting import fit_power_law
 from .harness import ExperimentSpec
 from .records import ExperimentResult
@@ -35,26 +35,14 @@ def _median_error(n: int, k: int, q: int, epsilon: float, repetitions: int, rng)
 
 
 def _k_star(n: int, q: int, delta: float, epsilon: float, repetitions: int, rng) -> int:
-    """Smallest k (doubling search, then bisection) with median error <= delta."""
-    k = max(n, 2)
-    cap = 4_000_000
-    while _median_error(n, k, q, epsilon, repetitions, rng) > delta:
-        k *= 2
-        if k > cap:
-            raise InvalidParameterError(f"k search exceeded cap {cap}")
-    low, high = k // 2, k
-    while high > low + max(1, low // 8):
-        mid = (low + high) // 2
-        if _median_error(n, mid, q, delta_safe_epsilon(epsilon), repetitions, rng) <= delta:
-            high = mid
-        else:
-            low = mid
-    return high
+    """Smallest k (doubling from n, then bisection to 1/8) with median error <= delta."""
 
+    def learns(k: int) -> bool:
+        return _median_error(n, k, q, epsilon, repetitions, rng) <= delta
 
-def delta_safe_epsilon(epsilon: float) -> float:
-    """Identity hook kept for clarity: the target farness is ε throughout."""
-    return epsilon
+    return _search(
+        learns, delta, minimum=max(n, 2), maximum=4_000_000, resolution_factor=1.125, curve={}
+    ).resource_star
 
 
 def _sweep(params: Dict[str, Any]) -> List[Dict[str, Any]]:

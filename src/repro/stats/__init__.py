@@ -13,7 +13,6 @@ from .estimation import BernoulliEstimate, estimate_probability, wilson_interval
 from .complexity import (
     SampleComplexityResult,
     empirical_sample_complexity,
-    empirical_sample_complexity_sequential,
     empirical_player_complexity,
     graph_family_complexity_sweep,
     streaming_memory_complexity_sweep,
@@ -21,7 +20,6 @@ from .complexity import (
 )
 from .fitting import PowerLawFit, fit_power_law
 from .power import PowerCurve, power_curve
-from .sequential import SprtResult, sprt_bernoulli, sprt_batched
 from .ascii import sparkline, horizontal_bar_chart, success_curve_plot
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "wilson_interval",
     "SampleComplexityResult",
     "empirical_sample_complexity",
-    "empirical_sample_complexity_sequential",
     "empirical_player_complexity",
     "graph_family_complexity_sweep",
     "streaming_memory_complexity_sweep",
@@ -39,9 +36,6 @@ __all__ = [
     "fit_power_law",
     "PowerCurve",
     "power_curve",
-    "SprtResult",
-    "sprt_bernoulli",
-    "sprt_batched",
     "sparkline",
     "horizontal_bar_chart",
     "success_curve_plot",

@@ -118,6 +118,18 @@ def default_far_distributions(
     return members
 
 
+def _probe_seed(root_entropy: int, level: int, side: int) -> np.random.SeedSequence:
+    """The seed of one (level, side) probe: ``spawn_key=(1, level, side)``.
+
+    Side 0 is the uniform (completeness) input, side ``i + 1`` the i-th
+    alternative.  Every probe is thereby a pure function of its inputs —
+    the engine's acceptance cache can memoise it across bisection
+    revisits and whole re-runs, and results are bit-identical across
+    backends and chunk sizes.
+    """
+    return np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
+
+
 def _seeded_success(
     tester,
     alternatives: Sequence[DiscreteDistribution],
@@ -125,19 +137,11 @@ def _seeded_success(
     root_entropy: int,
     level: int,
 ) -> float:
-    """Cache-aware success evaluation at one resource level.
-
-    Each (level, side) probe gets its own seed derived from the search's
-    root entropy via ``SeedSequence(root, spawn_key=(1, level, side))``,
-    which makes every probe a pure function of its inputs — the engine's
-    acceptance cache can then memoise it across bisection revisits and
-    whole re-runs, and results are bit-identical across backends and
-    chunk sizes.
-    """
+    """Fixed-budget success ``min(completeness, soundness)`` at one level."""
     from ..engine import estimate_acceptance
 
     def rate(distribution: DiscreteDistribution, side: int) -> float:
-        seed = np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
+        seed = _probe_seed(root_entropy, level, side)
         return estimate_acceptance(tester, distribution, trials=trials, rng=seed).rate
 
     success = rate(uniform(tester.n), 0)
@@ -163,18 +167,16 @@ def _seeded_classify(
     ``<= 1 - threshold`` — each classified by the engine's block-granular
     sequential test (:func:`repro.engine.estimate_acceptance`).  Easy
     levels resolve in one RNG block; sides are probed in a fixed order
-    with a short-circuit on the first failure, and seeds reuse the exact
-    spawn keys of :func:`_seeded_success`, so verdicts and trial counts
-    are bit-deterministic across backends, worker counts and tile sizes.
+    with a short-circuit on the first failure, under the same
+    :func:`_probe_seed` seeds as the fixed-budget path, so verdicts and
+    trial counts are bit-deterministic across backends, worker counts and
+    tile sizes.
 
     The returned rate is the minimum per-side estimate over the trials
     the SPRT actually used (coarser than a fixed-budget estimate, by
     design).
     """
     from ..engine import SprtSpec, estimate_acceptance
-
-    def probe_seed(side: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=root_entropy, spawn_key=(1, level, side))
 
     completeness_spec = SprtSpec(
         target=threshold,
@@ -183,7 +185,10 @@ def _seeded_classify(
         max_trials=sprt_max_trials,
     )
     estimate = estimate_acceptance(
-        tester, uniform(tester.n), sprt=completeness_spec, rng=probe_seed(0)
+        tester,
+        uniform(tester.n),
+        sprt=completeness_spec,
+        rng=_probe_seed(root_entropy, level, 0),
     )
     success = estimate.rate
     if not estimate.decided_above:
@@ -196,7 +201,10 @@ def _seeded_classify(
     )
     for index, far in enumerate(alternatives):
         far_estimate = estimate_acceptance(
-            tester, far, sprt=soundness_spec, rng=probe_seed(index + 1)
+            tester,
+            far,
+            sprt=soundness_spec,
+            rng=_probe_seed(root_entropy, level, index + 1),
         )
         success = min(success, 1.0 - far_estimate.rate)
         if far_estimate.decided_above:
@@ -230,57 +238,6 @@ def _search_inputs(
 
 
 def _search(
-    evaluate: Callable[[int], float],
-    target: float,
-    minimum: int,
-    maximum: int,
-    resolution_factor: float,
-) -> SampleComplexityResult:
-    """Exponential bracketing + binary search over an integer resource."""
-    curve: Dict[int, float] = {}
-
-    def cached(level: int) -> float:
-        if level not in curve:
-            curve[level] = evaluate(level)
-        return curve[level]
-
-    level = minimum
-    if cached(level) >= target:
-        return SampleComplexityResult(
-            resource_star=level,
-            target=target,
-            curve=curve,
-            bracket_low=level,
-            bracket_high=level,
-        )
-    # Exponential growth until success (or the cap).
-    low = level
-    high = level
-    while cached(high) < target:
-        low = high
-        high = min(maximum, max(high + 1, int(math.ceil(high * 2))))
-        if high == low:
-            raise SearchDivergedError(
-                f"resource search hit cap {maximum} without reaching "
-                f"target {target:.3f} (best {max(curve.values()):.3f})"
-            )
-    # Binary search down to the requested relative resolution.
-    while high > low + 1 and high > int(low * resolution_factor):
-        mid = (low + high) // 2
-        if cached(mid) >= target:
-            high = mid
-        else:
-            low = mid
-    return SampleComplexityResult(
-        resource_star=high,
-        target=target,
-        curve=curve,
-        bracket_low=low,
-        bracket_high=high,
-    )
-
-
-def _search_classified(
     classify: Callable[[int], bool],
     target: float,
     minimum: int,
@@ -288,52 +245,58 @@ def _search_classified(
     resolution_factor: float,
     curve: Dict[int, float],
 ) -> SampleComplexityResult:
-    """The :func:`_search` skeleton driven by boolean SPRT verdicts.
+    """Exponential bracketing + binary search over an integer resource.
 
-    ``classify`` is expected to record each level's empirical rate in
-    ``curve`` as a side effect; the search itself branches only on the
-    verdicts (memoised so no level is ever re-classified).
+    ``classify(level)`` says whether a level clears the target; it is
+    called at most once per level, and is expected to record the level's
+    empirical rate in ``curve`` (the search itself branches only on the
+    verdicts).  Levels double from ``minimum`` until one passes — probing
+    ``maximum`` itself before giving up — and the bracket is then bisected
+    until ``high <= max(low + 1, int(low * resolution_factor))``.
+
+    A search that fails at ``maximum`` raises :class:`SearchDivergedError`
+    carrying the censored partial result (the probed curve, with
+    ``resource_star = maximum``) as its ``result`` attribute.
     """
+    if minimum > maximum:
+        raise InvalidParameterError(
+            f"resource search minimum {minimum} exceeds maximum {maximum}"
+        )
     verdicts: Dict[int, bool] = {}
 
-    def cached(level: int) -> bool:
+    def passes(level: int) -> bool:
         if level not in verdicts:
             verdicts[level] = classify(level)
         return verdicts[level]
 
-    level = minimum
-    if cached(level):
+    def result(low: int, high: int, censored: bool = False) -> SampleComplexityResult:
         return SampleComplexityResult(
-            resource_star=level,
+            resource_star=high,
             target=target,
             curve=curve,
-            bracket_low=level,
-            bracket_high=level,
+            bracket_low=low,
+            bracket_high=high,
+            censored=censored,
         )
-    low = level
-    high = level
-    while not cached(high):
+
+    low = high = minimum
+    while not passes(high):
         low = high
         high = min(maximum, max(high + 1, int(math.ceil(high * 2))))
         if high == low:
             best = f" (best {max(curve.values()):.3f})" if curve else ""
             raise SearchDivergedError(
                 f"resource search hit cap {maximum} without reaching "
-                f"target {target:.3f}{best}"
+                f"target {target:.3f}{best}",
+                result=result(low, high, censored=True),
             )
     while high > low + 1 and high > int(low * resolution_factor):
         mid = (low + high) // 2
-        if cached(mid):
+        if passes(mid):
             high = mid
         else:
             low = mid
-    return SampleComplexityResult(
-        resource_star=high,
-        target=target,
-        curve=curve,
-        bracket_low=low,
-        bracket_high=high,
-    )
+    return result(low, high)
 
 
 def _default_sprt_budget(trials: int, sprt_max_trials: Optional[int]) -> int:
@@ -351,6 +314,56 @@ def _default_sprt_budget(trials: int, sprt_max_trials: Optional[int]) -> int:
             )
         return int(sprt_max_trials)
     return max(1, 4 * int(trials))
+
+
+def _resource_search(
+    tester_factory: TesterFactory,
+    n: int,
+    epsilon: float,
+    trials: int,
+    target: float,
+    margin: float,
+    minimum: int,
+    maximum: int,
+    resolution_factor: float,
+    far_distributions: Optional[Sequence[DiscreteDistribution]],
+    rng: RngLike,
+    rounding: Callable[[int], int],
+    sprt: bool,
+    sprt_margin: float,
+    sprt_error_rate: float,
+    sprt_max_trials: Optional[int],
+) -> SampleComplexityResult:
+    """The driver behind both public searches (q and k).
+
+    Each level is probed on ``tester_factory(rounding(level))`` and
+    classified against ``target + margin`` — by the fixed ``trials``
+    budget, or per side by the engine's SPRT.  The curve is keyed by the
+    unrounded level, which also names the probe seeds.
+    """
+    root_entropy, alternatives = _search_inputs(rng, n, epsilon, far_distributions)
+    threshold = target + margin
+    budget = _default_sprt_budget(trials, sprt_max_trials) if sprt else None
+    curve: Dict[int, float] = {}
+
+    def classify(level: int) -> bool:
+        tester = tester_factory(rounding(level))
+        if sprt:
+            passed, curve[level] = _seeded_classify(
+                tester,
+                alternatives,
+                threshold,
+                sprt_margin,
+                sprt_error_rate,
+                budget,
+                root_entropy,
+                level,
+            )
+            return passed
+        curve[level] = _seeded_success(tester, alternatives, trials, root_entropy, level)
+        return curve[level] >= threshold
+
+    return _search(classify, threshold, minimum, maximum, resolution_factor, curve)
 
 
 def empirical_sample_complexity(
@@ -396,107 +409,29 @@ def empirical_sample_complexity(
     per-level ``trials_used``, since stopping decisions happen only at
     RNG-block boundaries — and a warm acceptance cache replays the whole
     search without a single protocol execution.
+
+    Raises :class:`InvalidParameterError` when ``q_min > q_max`` and
+    :class:`SearchDivergedError` (carrying the censored partial result)
+    when ``q_max`` does not reach the target.
     """
-    root_entropy, alternatives = _search_inputs(rng, n, epsilon, far_distributions)
-    threshold = target + margin
-
-    if sprt:
-        budget = _default_sprt_budget(trials, sprt_max_trials)
-        curve: Dict[int, float] = {}
-
-        def classify(q: int) -> bool:
-            tester = tester_factory(q)
-            passed, rate = _seeded_classify(
-                tester,
-                alternatives,
-                threshold,
-                sprt_margin,
-                sprt_error_rate,
-                budget,
-                root_entropy,
-                q,
-            )
-            curve[q] = rate
-            return passed
-
-        return _search_classified(
-            classify, threshold, q_min, q_max, resolution_factor, curve
-        )
-
-    def evaluate(q: int) -> float:
-        tester = tester_factory(q)
-        return _seeded_success(tester, alternatives, trials, root_entropy, q)
-
-    return _search(evaluate, threshold, q_min, q_max, resolution_factor)
-
-
-def empirical_sample_complexity_sequential(
-    tester_factory: TesterFactory,
-    n: int,
-    epsilon: float,
-    target: float = 2.0 / 3.0,
-    margin: float = 0.05,
-    error_rate: float = 0.05,
-    q_min: int = 2,
-    q_max: int = 1_000_000,
-    resolution_factor: float = 1.10,
-    batch_size: int = 60,
-    max_trials_per_level: int = 4000,
-    far_distributions: Optional[Sequence[DiscreteDistribution]] = None,
-    rng: RngLike = None,
-) -> SampleComplexityResult:
-    """SPRT-accelerated variant of :func:`empirical_sample_complexity`.
-
-    Thin wrapper over ``empirical_sample_complexity(..., sprt=True)``.
-    Each level is classified above/below the target per side
-    (completeness, then each adversarial alternative) by the engine's
-    sequential test, stopping as soon as the evidence is decisive.  Easy
-    levels resolve in a single RNG block; only near-threshold levels pay
-    the full budget.
-
-    ``batch_size`` is accepted for backwards compatibility but ignored:
-    stop/continue decisions now happen only at the engine's RNG-block
-    boundaries, which is what makes each level's verdict *and* trial
-    count bit-deterministic across backends, worker counts and tile
-    sizes (see docs/architecture.md).
-
-    The recorded curve holds the *empirical success rate over the trials
-    the SPRT actually used* at each level (coarser than the fixed-budget
-    variant's estimates, by design).
-    """
-    del batch_size  # stopping is block-granular now; see docstring
-    return empirical_sample_complexity(
+    return _resource_search(
         tester_factory,
         n,
         epsilon,
-        target=target,
-        margin=0.0,
-        q_min=q_min,
-        q_max=q_max,
-        resolution_factor=resolution_factor,
-        far_distributions=far_distributions,
-        rng=rng,
-        sprt=True,
-        sprt_margin=margin,
-        sprt_error_rate=error_rate,
-        sprt_max_trials=max_trials_per_level,
+        trials,
+        target,
+        margin,
+        q_min,
+        q_max,
+        resolution_factor,
+        far_distributions,
+        rng,
+        lambda q: q,
+        sprt,
+        sprt_margin,
+        sprt_error_rate,
+        sprt_max_trials,
     )
-
-
-def classify_cached(level: int, curve: Dict[int, float], classify) -> bool:
-    """Classify a level once; repeat queries reuse the stored SPRT verdict.
-
-    The empirical rate lands in ``curve``; the boolean verdict (which is
-    what the search branches on) is memoised on the classifier itself so a
-    level is never re-tested.
-    """
-    cache = getattr(classify, "_verdicts", None)
-    if cache is None:
-        cache = {}
-        classify._verdicts = cache
-    if level not in cache:
-        cache[level] = classify(level)
-    return cache[level]
 
 
 def graph_family_complexity_sweep(
@@ -599,8 +534,9 @@ def streaming_memory_complexity_sweep(
     few buckets may collapse an adversarial alternative onto the
     uniform distribution, so no sample count reaches the target.  Such
     searches are returned **censored** (``censored=True``,
-    ``resource_star = q_max``) rather than raised — the sweep's point is
-    exactly to locate that memory floor.
+    ``resource_star = q_max``, with the curve the search did probe)
+    rather than raised — the sweep's point is exactly to locate that
+    memory floor.
     """
     from ..core.streaming import StreamingCollisionTester
     from ..engine import derive_root_entropy
@@ -641,12 +577,8 @@ def streaming_memory_complexity_sweep(
                 sprt_error_rate=sprt_error_rate,
                 sprt_max_trials=sprt_max_trials,
             )
-        except SearchDivergedError:
-            results[label] = SampleComplexityResult(
-                resource_star=int(q_max),
-                target=target + margin,
-                censored=True,
-            )
+        except SearchDivergedError as error:
+            results[label] = error.result
     return results
 
 
@@ -674,35 +606,21 @@ def empirical_player_complexity(
     for paired protocols) before the factory is invoked.  ``sprt`` and
     friends behave exactly as in :func:`empirical_sample_complexity`.
     """
-    root_entropy, alternatives = _search_inputs(rng, n, epsilon, far_distributions)
-    rounding = level_rounding if level_rounding is not None else (lambda k: k)
-    threshold = target + margin
-
-    if sprt:
-        budget = _default_sprt_budget(trials, sprt_max_trials)
-        curve: Dict[int, float] = {}
-
-        def classify(k: int) -> bool:
-            tester = tester_factory(rounding(k))
-            passed, rate = _seeded_classify(
-                tester,
-                alternatives,
-                threshold,
-                sprt_margin,
-                sprt_error_rate,
-                budget,
-                root_entropy,
-                k,
-            )
-            curve[k] = rate
-            return passed
-
-        return _search_classified(
-            classify, threshold, k_min, k_max, resolution_factor, curve
-        )
-
-    def evaluate(k: int) -> float:
-        tester = tester_factory(rounding(k))
-        return _seeded_success(tester, alternatives, trials, root_entropy, k)
-
-    return _search(evaluate, threshold, k_min, k_max, resolution_factor)
+    return _resource_search(
+        tester_factory,
+        n,
+        epsilon,
+        trials,
+        target,
+        margin,
+        k_min,
+        k_max,
+        resolution_factor,
+        far_distributions,
+        rng,
+        level_rounding if level_rounding is not None else (lambda k: k),
+        sprt,
+        sprt_margin,
+        sprt_error_rate,
+        sprt_max_trials,
+    )

@@ -117,6 +117,13 @@ class TestCalibration:
             assert low.stopped_early
             assert low.trials_used <= 10 * RNG_BLOCK_TRIALS
 
+    def test_easy_calls_cheaper_than_hard(self):
+        """A rate far above the target stops sooner than one just above it."""
+        spec = SprtSpec(target=0.66, margin=0.05, max_trials=4000)
+        easy = estimate_acceptance(BernoulliKernel(0.95), None, sprt=spec, rng=2)
+        hard = estimate_acceptance(BernoulliKernel(0.70), None, sprt=spec, rng=3)
+        assert easy.trials_used < hard.trials_used
+
     def test_agreement_with_fixed_budget_on_calibrated_fixtures(self):
         """SPRT verdicts match the known ground truth within error rates."""
         spec = SprtSpec(target=0.5, margin=0.1, error_rate=0.05, max_trials=4000)

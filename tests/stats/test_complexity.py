@@ -7,10 +7,13 @@ import pytest
 from repro.core import CentralizedCollisionTester, ThresholdRuleTester
 from repro.distributions import two_level_distribution, uniform
 from repro.exceptions import InvalidParameterError, SearchDivergedError
+from repro.experiments.registry import run_experiment
+from repro.lowerbounds.theorems import theorem_1_1_q_lower
 from repro.stats import (
     empirical_player_complexity,
     empirical_sample_complexity,
     power_curve,
+    streaming_memory_complexity_sweep,
 )
 from repro.stats.complexity import (
     SampleComplexityResult,
@@ -68,7 +71,8 @@ class TestSampleComplexitySearch:
         assert result.resource_star in result.curve or result.curve
         assert result.bracket_high >= result.bracket_low
 
-    def test_immediate_success_at_minimum(self):
+    @pytest.mark.parametrize("sprt", [False, True])
+    def test_immediate_success_at_minimum(self, sprt):
         result = empirical_sample_complexity(
             lambda q: CentralizedCollisionTester(N, EPS, q=max(q, 600)),
             n=N,
@@ -76,11 +80,15 @@ class TestSampleComplexitySearch:
             trials=150,
             q_min=2,
             rng=0,
+            sprt=sprt,
         )
         assert result.resource_star == 2
+        assert (result.bracket_low, result.bracket_high) == (2, 2)
+        assert sorted(result.curve) == [2]
 
-    def test_divergence_raises(self):
-        with pytest.raises(SearchDivergedError):
+    @pytest.mark.parametrize("sprt", [False, True])
+    def test_divergence_raises(self, sprt):
+        with pytest.raises(SearchDivergedError) as raised:
             empirical_sample_complexity(
                 lambda q: CentralizedCollisionTester(N, EPS, q=2),  # never improves
                 n=N,
@@ -88,7 +96,47 @@ class TestSampleComplexitySearch:
                 trials=100,
                 q_max=64,
                 rng=0,
+                sprt=sprt,
             )
+        partial = raised.value.result
+        assert partial.censored
+        assert partial.resource_star == 64
+        assert sorted(partial.curve) == [2, 4, 8, 16, 32, 64]
+
+    @pytest.mark.parametrize("sprt", [False, True])
+    @pytest.mark.parametrize("search", ["sample", "player"])
+    @pytest.mark.parametrize("bounds", [(400, 8), (20, 10)])
+    def test_inverted_bounds_rejected(self, search, sprt, bounds):
+        low, high = bounds
+        probed = []
+
+        def factory(level):
+            probed.append(level)
+            return ThresholdRuleTester(N, EPS, max(level, 2), q=max(level, 2))
+
+        with pytest.raises(InvalidParameterError):
+            if search == "sample":
+                empirical_sample_complexity(
+                    factory, N, EPS, trials=50, q_min=low, q_max=high, rng=0, sprt=sprt
+                )
+            else:
+                empirical_player_complexity(
+                    factory, N, EPS, trials=50, k_min=low, k_max=high, rng=0, sprt=sprt
+                )
+        assert probed == []
+
+    def test_distributed_tester_respects_theorem_bound(self):
+        result = empirical_sample_complexity(
+            lambda q: ThresholdRuleTester(N, EPS, k=16, q=q),
+            n=N,
+            epsilon=EPS,
+            margin=0.0,
+            rng=5,
+            sprt=True,
+            sprt_margin=0.05,
+            sprt_max_trials=4000,
+        )
+        assert result.resource_star >= theorem_1_1_q_lower(N, 16, EPS)
 
     def test_more_players_need_fewer_samples(self):
         few = empirical_sample_complexity(
@@ -283,3 +331,76 @@ class TestGraphFamilySweep:
 
         with pytest.raises(InvalidParameterError):
             graph_family_complexity_sweep([], 64, 0.6)
+
+
+class TestStreamingMemorySweep:
+    def test_censored_budget_keeps_probed_curve(self):
+        result = streaming_memory_complexity_sweep(
+            [16], 64, 0.6, trials=40, q_max=256, rng=0, calibration_trials=300
+        )["b16"]
+        assert result.censored
+        assert result.resource_star == 256
+        assert sorted(result.curve) == [2, 4, 8, 16, 32, 64, 128, 256]
+        assert all(rate < result.target for rate in result.curve.values())
+
+
+def _pin(result):
+    return (
+        result.resource_star,
+        result.bracket_low,
+        result.bracket_high,
+        sorted(result.curve.items()),
+    )
+
+
+class TestSearchPins:
+    """Exact search outcomes, recorded before the bracket-and-bisect
+    skeleton was shared by the fixed-budget, SPRT and e04 searches."""
+
+    SAMPLE = {
+        False: (72, 68, 72, [
+            (2, 0.025000000000000022), (4, 0.07499999999999996),
+            (8, 0.3833333333333333), (16, 0.375), (32, 0.6), (64, 0.65),
+            (68, 0.6166666666666667), (72, 0.7333333333333334), (80, 0.725),
+            (96, 0.75), (128, 0.8),
+        ]),
+        True: (88, 80, 88, [
+            (2, 0.0625), (4, 0.09375), (8, 0.6510416666666666),
+            (16, 0.453125), (32, 0.6875), (64, 0.6666666666666667),
+            (80, 0.7020833333333334), (88, 0.7578125), (96, 0.75),
+            (128, 0.828125),
+        ]),
+    }
+    PLAYER = {
+        False: (128, 112, 128, [
+            (2, 0.375), (4, 0.55), (8, 0.42500000000000004), (16, 0.55),
+            (32, 0.6083333333333334), (64, 0.6666666666666667), (96, 0.675),
+            (112, 0.6083333333333333), (128, 0.7583333333333333),
+        ]),
+        True: (128, 112, 128, [
+            (2, 0.40625), (4, 0.5234375), (8, 0.578125), (16, 0.53125),
+            (32, 0.6328125), (64, 0.70625), (96, 0.671875),
+            (112, 0.6171875), (128, 0.7552083333333334),
+        ]),
+    }
+
+    @pytest.mark.parametrize("sprt", [False, True])
+    def test_sample_search(self, sprt):
+        result = empirical_sample_complexity(
+            lambda q: CentralizedCollisionTester(64, 0.5, q=q),
+            64, 0.5, trials=120, rng=11, sprt=sprt,
+        )
+        assert _pin(result) == self.SAMPLE[sprt]
+
+    @pytest.mark.parametrize("sprt", [False, True])
+    def test_player_search(self, sprt):
+        result = empirical_player_complexity(
+            lambda k: ThresholdRuleTester(64, 0.5, k, q=8),
+            64, 0.5, trials=120, rng=12, sprt=sprt,
+            level_rounding=lambda k: k + (k % 2),
+        )
+        assert _pin(result) == self.PLAYER[sprt]
+
+    def test_e04_k_star(self):
+        rows = run_experiment("e04", "smoke", seed=0).rows
+        assert [row["k_star"] for row in rows] == [256, 288, 144]
