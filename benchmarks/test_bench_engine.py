@@ -1,8 +1,8 @@
 """Engine benchmark — serial vs. parallel wall time on the E1 small grid.
 
 Runs the same E1 (Theorem 1.1) small-scale grid twice — once on
-``SerialBackend``, once on the shared-memory fork pool at 4 workers
-(pre-warmed, auto-tiled) — asserts the measured ``q_star`` rows are
+``SerialBackend``, once on the process pool at 4 workers
+(pre-warmed) — asserts the measured ``q_star`` rows are
 bit-identical, and records wall times, the speedup and full execution
 provenance in ``BENCH_engine.json`` at the repo root.
 
@@ -39,7 +39,7 @@ def test_bench_engine_serial_vs_parallel():
     serial = SerialBackend()
     serial_result, serial_s, serial_metrics = _timed_run(serial)
 
-    pool = make_backend(WORKERS, kind="shm", fresh=True)
+    pool = make_backend(WORKERS, kind="process", fresh=True)
     try:
         # Warm the workers and measure dispatch cost before the clock
         # starts, so the recorded speedup is steady-state, not start-up.

@@ -3,7 +3,7 @@
 Two claims recorded in ``BENCH_graphs.json``:
 
 * the **family complexity sweep** (experiment e20's engine) is
-  bit-identical across 1/2/4 shared-memory workers — same per-family
+  bit-identical across 1/2/4 pool workers — same per-family
   ``resource_star``, same probed curves — because every family searches
   on one shared root entropy and stop/continue decisions happen at
   RNG-block boundaries;
@@ -64,7 +64,7 @@ def test_bench_graph_family_sweep():
     worker_results = {1: serial}
     pool_provenance = {}
     for workers in (2, 4):
-        pool = make_backend(workers, kind="shm", fresh=True)
+        pool = make_backend(workers, kind="process", fresh=True)
         try:
             pool.warmup()
             pool_provenance[str(workers)] = engine_provenance(pool)

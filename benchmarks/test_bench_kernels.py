@@ -67,7 +67,7 @@ def test_bench_sprt_vs_fixed_budget():
     worker_results = {1: sprt_result}
     pool_provenance = {}
     for workers in (2, 4):
-        pool = make_backend(workers, kind="shm", fresh=True)
+        pool = make_backend(workers, kind="process", fresh=True)
         try:
             pool.warmup()
             pool_provenance[str(workers)] = engine_provenance(pool)

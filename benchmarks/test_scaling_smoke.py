@@ -43,7 +43,7 @@ def _rows(backend):
 def test_scaling_smoke_two_workers_identical_and_cheap():
     serial_rows = _rows(SerialBackend())
 
-    pool = make_backend(2, kind="shm", fresh=True)
+    pool = make_backend(2, kind="process", fresh=True)
     try:
         pool.warmup()
         provenance = engine_provenance(pool)

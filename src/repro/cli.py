@@ -104,13 +104,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "execution backend (default: serial when --workers <= 1, "
-            "shared-memory fork pool otherwise)"
+            "process pool otherwise; 'shm' is an alias of 'process')"
         ),
-    )
-    group.add_argument(
-        "--no-auto-tile",
-        action="store_true",
-        help="disable cost-model tile auto-sizing for parallel dispatch",
     )
     group.add_argument(
         "--cache-dir",
@@ -162,7 +157,6 @@ def _apply_engine_options(args: argparse.Namespace):
         max_elements=getattr(args, "chunk_elements", None),
         cache_dir=cache_dir,
         backend=getattr(args, "backend", None),
-        auto_tile=not getattr(args, "no_auto_tile", False),
     )
 
 

@@ -10,7 +10,6 @@ from .backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
     close_warm_backends,
     make_backend,
 )
@@ -23,7 +22,6 @@ from .chunking import (
     RNG_BLOCK_TRIALS,
     Block,
     plan_blocks,
-    plan_cost_tiles,
     plan_tiles,
     tile_trials,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "SharedMemoryBackend",
     "BACKEND_KINDS",
     "close_warm_backends",
     "make_backend",
@@ -82,7 +79,6 @@ __all__ = [
     "RNG_BLOCK_TRIALS",
     "plan_blocks",
     "plan_tiles",
-    "plan_cost_tiles",
     "tile_trials",
     "EngineConfig",
     "DEFAULT_MAX_ELEMENTS",

@@ -7,23 +7,22 @@ task's result is independent of which backend (or worker) executes it and
 of how tasks are interleaved.
 
 ``SerialBackend`` runs tasks inline; ``ProcessPoolBackend`` fans them out
-over a lazily created :class:`concurrent.futures.ProcessPoolExecutor`;
-``SharedMemoryBackend`` adds one-shot kernel shipping over
-:mod:`multiprocessing.shared_memory` plus bit-packed result transport
-(see :mod:`repro.engine.shm`).  Worker processes import the library fresh
-and therefore see the *default* engine configuration (serial, no cache) —
-nested engine calls inside a worker never spawn a second pool.
+over a lazily created :class:`concurrent.futures.ProcessPoolExecutor`.
+Under the ``fork`` start method a pool worker inherits a copy of the
+parent's active engine configuration, pool backend included, so every
+worker runs :func:`_serial_worker_init` first: it keeps the inherited
+cache and tile budget but makes the worker's backend serial.  Nested
+engine calls inside a worker (a sweep point whose estimate spans several
+tiles) therefore run inline and never submit to a copy of the parent's
+pool.
 
 Beyond ``map_tasks`` every backend offers:
 
-* :meth:`~ExecutionBackend.map_accept_tiles` — the accept-kernel dispatch
-  hook.  The default delegates to ``map_tasks``; pool backends can
-  override it to avoid re-pickling the kernel per tile.
 * :meth:`~ExecutionBackend.warmup` — start any lazy workers now, so
   benchmarks can exclude pool start-up from measured wall time.
 * :meth:`~ExecutionBackend.dispatch_overhead_s` — the measured round-trip
-  cost of one trivial dispatch, cached per backend.  The cost-model tile
-  auto-sizer uses it to pick tile sizes that amortise dispatch.
+  cost of one trivial dispatch, cached per backend; benchmark records
+  report it next to their timings.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from typing import (
 )
 
 from ..exceptions import InvalidParameterError
-from . import shm
 from .metrics import monotonic_clock
 
 if TYPE_CHECKING:
@@ -51,9 +49,6 @@ if TYPE_CHECKING:
 
 #: A task is a positional-argument tuple for the mapped function.
 TaskArgs = Tuple[Any, ...]
-
-#: A clock is any zero-argument callable returning seconds as a float.
-Clock = Callable[[], float]
 
 #: Trivial tasks dispatched per overhead probe (>= 2 so pool backends do
 #: not take their single-task inline shortcut).
@@ -80,39 +75,21 @@ class ExecutionBackend(ABC):
     ) -> List[Any]:
         """Run ``fn(*args)`` for every args-tuple, preserving order."""
 
-    def map_accept_tiles(
-        self,
-        kernel: Any,
-        distribution: Any,
-        tiles: Sequence[Sequence[Any]],
-        root_entropy: int,
-    ) -> List[Any]:
-        """Accept vectors for a batch of tiles, preserving tile order.
-
-        The generic path ships ``(kernel, distribution)`` inside every
-        task; backends with a cheaper transport override this.
-        """
-        from .executor import _accepts_tile
-
-        tasks = [(kernel, distribution, tile, root_entropy) for tile in tiles]
-        return self.map_tasks(_accepts_tile, tasks)
-
     def warmup(self) -> None:
         """Start any lazily created workers now (idempotent no-op here)."""
 
-    def dispatch_overhead_s(self, clock: Optional[Clock] = None) -> float:
+    def dispatch_overhead_s(self) -> float:
         """Measured seconds per trivial task round-trip (cached).
 
         Warmup runs first, so the figure prices steady-state dispatch —
         pickling, queueing and result transport — not worker start-up.
         """
         if self._dispatch_overhead is None:
-            ticker = clock if clock is not None else monotonic_clock
             self.warmup()
             tasks = [(i,) for i in range(_OVERHEAD_PROBE_TASKS)]
-            start = ticker()
+            start = monotonic_clock()
             self.map_tasks(_noop_task, tasks)
-            elapsed = max(0.0, ticker() - start)
+            elapsed = max(0.0, monotonic_clock() - start)
             self._dispatch_overhead = elapsed / _OVERHEAD_PROBE_TASKS
         return self._dispatch_overhead
 
@@ -132,6 +109,17 @@ class SerialBackend(ExecutionBackend):
         self, fn: Callable[..., Any], tasks: Sequence[TaskArgs]
     ) -> List[Any]:
         return [fn(*args) for args in tasks]
+
+
+def _serial_worker_init() -> None:
+    """Pool initializer: engine calls inside a worker run inline.
+
+    Only the backend changes; the worker keeps whatever cache and
+    ``max_elements`` it inherited from the parent.
+    """
+    from .config import get_engine
+
+    get_engine().backend = SerialBackend()
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -158,16 +146,12 @@ class ProcessPoolBackend(ExecutionBackend):
         self.max_workers: int = max_workers or os.cpu_count() or 1
         self._executor: Optional["ProcessPoolExecutor"] = None
 
-    def _mp_context(self) -> Optional[Any]:
-        """Start-method override for the pool (``None`` = interpreter default)."""
-        return None
-
     def _pool(self) -> "ProcessPoolExecutor":
         if self._executor is None:
             from concurrent.futures import ProcessPoolExecutor
 
             self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=self._mp_context()
+                max_workers=self.max_workers, initializer=_serial_worker_init
             )
         return self._executor
 
@@ -214,138 +198,11 @@ class ProcessPoolBackend(ExecutionBackend):
         return f"{type(self).__name__}(max_workers={self.max_workers})"
 
 
-class _Shipment:
-    """Parent-side record of one shared (kernel, distribution) blob.
+#: Warm pools kept alive across make_backend calls: width → backend.
+_WARM_BACKENDS: Dict[int, ExecutionBackend] = {}
 
-    Holding strong references to the shipped objects keeps their ``id``
-    values — which key the shipment table — stable for the backend's
-    lifetime.
-    """
-
-    __slots__ = ("token", "segment", "blob_size", "kernel", "distribution")
-
-    def __init__(
-        self, token: str, segment: Any, blob_size: int, kernel: Any, distribution: Any
-    ):
-        self.token = token
-        self.segment = segment
-        self.blob_size = blob_size
-        self.kernel = kernel
-        self.distribution = distribution
-
-
-class SharedMemoryBackend(ProcessPoolBackend):
-    """Process pool with one-shot kernel shipping over shared memory.
-
-    Lifecycle: the first ``map_accept_tiles`` call for a given
-    ``(kernel, distribution)`` pair pickles it once into a named
-    :mod:`multiprocessing.shared_memory` segment and registers it in the
-    parent's :mod:`repro.engine.shm` registry.  Tiles then travel as
-    ``(token, segment, tile, root_entropy)`` tuples; each worker
-    rehydrates on first sight (or inherits the registry outright when
-    forked after the shipment) and returns its accept vector as packed
-    bits.  ``close()`` unlinks every segment and shuts the pool down.
-
-    On POSIX the pool uses the ``fork`` start method so freshly forked
-    workers inherit already-registered shipments for free; elsewhere the
-    interpreter default applies and workers attach via the segment name.
-    """
-
-    name = "shm"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        super().__init__(max_workers)
-        self._shipments: Dict[Tuple[int, int], _Shipment] = {}
-
-    def _mp_context(self) -> Optional[Any]:
-        import multiprocessing
-
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return None
-
-    def _ship(self, kernel: Any, distribution: Any) -> _Shipment:
-        """Publish ``(kernel, distribution)`` once; reuse on later calls."""
-        key = (id(kernel), id(distribution))
-        shipment = self._shipments.get(key)
-        if shipment is None:
-            from multiprocessing import shared_memory
-
-            token = f"{os.getpid()}-{id(self):x}-{len(self._shipments)}"
-            blob = shm.serialize_shipment(kernel, distribution)
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, len(blob))
-            )
-            try:
-                segment.buf[: len(blob)] = blob
-                # Fork-inheritance fast path: workers forked after this
-                # line see the pair without ever touching the segment.
-                shm.register_shipment(token, kernel, distribution)
-                shipment = _Shipment(
-                    token, segment, len(blob), kernel, distribution
-                )
-            except BaseException:
-                # Nothing owns the segment yet: without this it would
-                # linger in /dev/shm until the resource tracker exits.
-                segment.close()
-                segment.unlink()
-                raise
-            self._shipments[key] = shipment
-        return shipment
-
-    def map_accept_tiles(
-        self,
-        kernel: Any,
-        distribution: Any,
-        tiles: Sequence[Sequence[Any]],
-        root_entropy: int,
-    ) -> List[Any]:
-        if len(tiles) <= 1:
-            # Mirror the single-task inline shortcut of map_tasks.
-            from .executor import _accepts_tile
-
-            return [
-                _accepts_tile(kernel, distribution, tile, root_entropy)
-                for tile in tiles
-            ]
-        shipment = self._ship(kernel, distribution)
-        pool = self._pool()
-        futures = [
-            pool.submit(
-                shm.run_shipped_tile,
-                shipment.token,
-                shipment.segment.name,
-                shipment.blob_size,
-                tile,
-                root_entropy,
-            )
-            for tile in tiles
-        ]
-        results: List[Any] = []
-        for future in futures:
-            trials, packed = future.result()
-            results.append(shm.unpack_accepts(trials, packed))
-        return results
-
-    def close(self) -> None:
-        shipments = getattr(self, "_shipments", None)
-        if shipments:
-            for shipment in shipments.values():
-                shm.forget_shipment(shipment.token)
-                try:
-                    shipment.segment.close()
-                    shipment.segment.unlink()
-                except (FileNotFoundError, OSError):
-                    pass
-            shipments.clear()
-        super().close()
-
-
-#: Warm pools kept alive across make_backend calls: (kind, width) → backend.
-_WARM_BACKENDS: Dict[Tuple[str, int], ExecutionBackend] = {}
-
-#: Backend kinds make_backend understands.
+#: Backend kinds make_backend understands.  ``"shm"`` is kept as an
+#: alias of ``"process"`` so existing scripts and flags keep working.
 BACKEND_KINDS = ("serial", "process", "shm")
 
 
@@ -360,9 +217,8 @@ def close_warm_backends() -> int:
 
 
 # Warm pools outlive every function scope, so interpreter exit is the
-# only release point: without this hook the shm segments of a warm
-# SharedMemoryBackend are reported as leaked by the resource tracker
-# and pool workers are reaped by the OS instead of shut down.
+# only release point: without this hook pool workers are reaped by the
+# OS instead of shut down.
 atexit.register(close_warm_backends)
 
 
@@ -373,29 +229,24 @@ def make_backend(
 ) -> ExecutionBackend:
     """CLI-flag semantics: ``None``/``0``/``1`` → serial, else a pool.
 
-    ``kind`` forces a backend family (``"serial"``, ``"process"``,
-    ``"shm"``); left ``None`` it derives from ``workers`` as before, with
-    multi-worker runs getting the shared-memory pool.  Pool backends are
-    reused warm across calls (one pool per (kind, width) for the process
-    lifetime) so successive ``estimate_acceptance`` sweeps never churn
-    worker start-up; pass ``fresh=True`` for a private instance the
-    caller owns and closes.
+    ``kind`` forces a backend family (``"serial"``, or ``"process"`` and
+    its alias ``"shm"``); left ``None`` it derives from ``workers``.
+    Pool backends are reused warm across calls (one pool per width for
+    the process lifetime) so successive ``estimate_acceptance`` sweeps
+    never churn worker start-up; pass ``fresh=True`` for a private
+    instance the caller owns and closes.
     """
     if kind is not None and kind not in BACKEND_KINDS:
         raise InvalidParameterError(
             f"unknown backend kind {kind!r}; expected one of {BACKEND_KINDS}"
         )
-    if kind is None:
-        kind = "serial" if (workers is None or workers <= 1) else "shm"
-    if kind == "serial":
+    if kind == "serial" or (kind is None and (workers is None or workers <= 1)):
         return SerialBackend()
     width = workers if workers and workers >= 1 else (os.cpu_count() or 1)
-    cls = ProcessPoolBackend if kind == "process" else SharedMemoryBackend
     if fresh:
-        return cls(max_workers=width)
-    key = (kind, width)
-    backend = _WARM_BACKENDS.get(key)
+        return ProcessPoolBackend(max_workers=width)
+    backend = _WARM_BACKENDS.get(width)
     if backend is None:
-        backend = cls(max_workers=width)
-        _WARM_BACKENDS[key] = backend
+        backend = ProcessPoolBackend(max_workers=width)
+        _WARM_BACKENDS[width] = backend
     return backend

@@ -95,53 +95,6 @@ def plan_tiles(
     return tiles
 
 
-def plan_cost_tiles(
-    blocks: Sequence[Block],
-    elements_per_trial: int,
-    max_elements: int,
-    target_trials: float,
-) -> List[List[Block]]:
-    """Group blocks into tiles of roughly ``target_trials`` trials each.
-
-    The cost-model companion to :func:`plan_tiles`: ``target_trials``
-    comes from the dispatch-overhead model (tiles big enough that
-    per-tile dispatch cost is an acceptable fraction of compute), while
-    ``max_elements`` stays the hard memory grouping bound.  Blocks are
-    never split, so the RNG-block invariant — and therefore bit-identical
-    results under any regrouping — is preserved by construction.
-    """
-    if elements_per_trial < 0:
-        raise InvalidParameterError(
-            f"elements_per_trial must be >= 0, got {elements_per_trial}"
-        )
-    if max_elements < 1:
-        raise InvalidParameterError(
-            f"max_elements must be >= 1, got {max_elements}"
-        )
-    per_trial = max(1, elements_per_trial)
-    trials_cap = max(1.0, float(target_trials))
-    tiles: List[List[Block]] = []
-    current: List[Block] = []
-    current_trials = 0
-    current_elements = 0
-    for block in blocks:
-        block_elements = block.trials * per_trial
-        if current and (
-            current_elements + block_elements > max_elements
-            or current_trials >= trials_cap
-        ):
-            tiles.append(current)
-            current = []
-            current_trials = 0
-            current_elements = 0
-        current.append(block)
-        current_trials += block.trials
-        current_elements += block_elements
-    if current:
-        tiles.append(current)
-    return tiles
-
-
 def tile_trials(tile: Sequence[Block]) -> int:
     """Total trials covered by one tile."""
     return sum(block.trials for block in tile)

@@ -36,14 +36,9 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from ..rng import RngLike
 from .cache import kernel_probe_key
-from .chunking import Block, plan_blocks, plan_tiles
+from .chunking import Block, plan_blocks, plan_tiles, tile_trials
 from .config import get_engine
-from .executor import (
-    _use_auto_tiling,
-    autosize_tiles,
-    chunked_accepts,
-    derive_root_entropy,
-)
+from .executor import _accepts_tile, chunked_accepts, derive_root_entropy
 from .kernels import AcceptKernel, as_kernel, kernel_label
 
 
@@ -187,61 +182,34 @@ def _estimate_sequential(
     used = 0
     decided: Optional[bool] = None
 
-    def consume(tile: Sequence[Block], accepts: np.ndarray) -> None:
-        # Strict block-order consumption; blocks beyond a crossing are
-        # speculative work and are discarded.
-        nonlocal log_ratio, successes, used, decided
-        for block, block_accepts in _scan_blocks(tile, np.asarray(accepts)):
-            if decided is not None:
-                break
-            wins = int(block_accepts.sum())
-            successes += wins
-            used += block.trials
-            log_ratio += (
-                wins * success_step + (block.trials - wins) * failure_step
-            )
-            if log_ratio >= boundary:
-                decided = True
-            elif log_ratio <= -boundary:
-                decided = False
-
-    if _use_auto_tiling(config, len(tiles)):
-        # First tile inline and timed; if undecided, the remaining RNG
-        # blocks are regrouped by the cost model.  Tiling never moves a
-        # block across a boundary, so (verdict, trials_used) are
-        # unchanged — only wave packing differs.
-        with metrics.timed():
-            first, retiled = autosize_tiles(
-                kernel,
-                distribution,
-                tiles,
-                root_entropy,
-                kernel.elements_per_trial,
-                config,
-            )
-        executed = sum(block.trials for block in tiles[0])
-        metrics.count("protocol_trials", executed)
-        metrics.count("samples_drawn", executed * kernel.elements_per_trial)
-        metrics.count("tiles_executed", 1)
-        metrics.count("rng_blocks", len(tiles[0]))
-        consume(tiles[0], first)
-        tiles = retiled if decided is None else []
-
     tile_index = 0
     while tile_index < len(tiles) and decided is None:
         batch = tiles[tile_index : tile_index + wave]
         tile_index += wave
+        tasks = [(kernel, distribution, tile, root_entropy) for tile in batch]
         with metrics.timed():
-            results = config.backend.map_accept_tiles(
-                kernel, distribution, batch, root_entropy
-            )
-        executed = sum(block.trials for tile in batch for block in tile)
+            results = config.backend.map_tasks(_accepts_tile, tasks)
+        executed = sum(tile_trials(tile) for tile in batch)
         metrics.count("protocol_trials", executed)
         metrics.count("samples_drawn", executed * kernel.elements_per_trial)
         metrics.count("tiles_executed", len(batch))
         metrics.count("rng_blocks", sum(len(tile) for tile in batch))
+        # Strict block-order consumption; blocks beyond a crossing are
+        # speculative work and are discarded.
         for tile, accepts in zip(batch, results):
-            consume(tile, accepts)
+            for block, block_accepts in _scan_blocks(tile, accepts):
+                if decided is not None:
+                    break
+                wins = int(block_accepts.sum())
+                successes += wins
+                used += block.trials
+                log_ratio += (
+                    wins * success_step + (block.trials - wins) * failure_step
+                )
+                if log_ratio >= boundary:
+                    decided = True
+                elif log_ratio <= -boundary:
+                    decided = False
 
     stopped_early = decided is not None and used < spec.max_trials
     if decided is None:

@@ -22,22 +22,14 @@ result is bit-identical across backends, worker counts and tile sizes.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from ..rng import RngLike, ensure_rng
-from .chunking import (
-    RNG_BLOCK_TRIALS,
-    Block,
-    plan_blocks,
-    plan_cost_tiles,
-    plan_tiles,
-    tile_trials,
-)
-from .config import EngineConfig, get_engine
+from .chunking import Block, plan_blocks, plan_tiles
+from .config import get_engine
 
 #: Result arrays flowing through the engine (dtype varies by kernel).
 Array = npt.NDArray[Any]
@@ -92,60 +84,6 @@ def _accepts_tile(
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _use_auto_tiling(config: EngineConfig, tile_count: int) -> bool:
-    """Whether the cost-model auto-sizer should engage for this batch.
-
-    Serial backends gain nothing from retiling (no dispatch to
-    amortise), and a single tile leaves nothing to resize.
-    """
-    return (
-        config.auto_tile
-        and tile_count > 1
-        and int(getattr(config.backend, "max_workers", 1)) > 1
-    )
-
-
-def autosize_tiles(
-    kernel: Any,
-    distribution: Any,
-    tiles: Sequence[Sequence[Block]],
-    root_entropy: int,
-    elements_per_trial: int,
-    config: EngineConfig,
-) -> Tuple[Array, List[List[Block]]]:
-    """Run the first tile inline and cost-model retile the remainder.
-
-    Returns the first tile's accept vector plus the regrouped remaining
-    tiles, sized so per-tile dispatch overhead stays below
-    ``config.dispatch_overhead_target``: with measured per-trial compute
-    cost ``c`` and dispatch round-trip ``d``, a tile needs
-    ``d / (target · c)`` trials.  The target is clamped so the remaining
-    work still spreads across the pool (at least one tile per worker when
-    there are enough blocks), and the memory bound stays hard.  Only the
-    *grouping* changes — RNG blocks are never split — so results remain
-    bit-identical to any other tiling.
-    """
-    from ..experiments.timing import Stopwatch
-
-    watch = Stopwatch(clock=config.clock)
-    first = np.asarray(
-        _accepts_tile(kernel, distribution, tiles[0], root_entropy)
-    )
-    per_trial_s = max(watch.elapsed(), 1e-9) / tile_trials(tiles[0])
-    dispatch_s = config.backend.dispatch_overhead_s(config.clock)
-    target = dispatch_s / (config.dispatch_overhead_target * per_trial_s)
-    remaining = [block for tile in tiles[1:] for block in tile]
-    remaining_trials = sum(block.trials for block in remaining)
-    workers = max(1, int(getattr(config.backend, "max_workers", 1)))
-    fair_share = math.ceil(remaining_trials / workers)
-    target = max(float(RNG_BLOCK_TRIALS), min(target, float(fair_share)))
-    retiled = plan_cost_tiles(
-        remaining, elements_per_trial, config.max_elements, target
-    )
-    config.metrics.count("autotile_retiles")
-    return first, retiled
-
-
 def _dispatch(
     task_fn: TileKernel,
     owner: Any,
@@ -160,28 +98,12 @@ def _dispatch(
     root_entropy = derive_root_entropy(rng)
     blocks = plan_blocks(trials)
     tiles = plan_tiles(blocks, elements_per_trial, config.max_elements)
-    accept_path = task_fn is _accepts_tile
-    results: List[Array] = []
-    executed_tiles = len(tiles)
-    if accept_path and _use_auto_tiling(config, len(tiles)):
-        with metrics.timed():
-            first, tiles = autosize_tiles(
-                owner, distribution, tiles, root_entropy, elements_per_trial, config
-            )
-        results.append(first)
-        executed_tiles = len(tiles) + 1
+    tasks = [(owner, distribution, tile, root_entropy) for tile in tiles]
     with metrics.timed():
-        if accept_path:
-            mapped = config.backend.map_accept_tiles(
-                owner, distribution, tiles, root_entropy
-            )
-        else:
-            tasks = [(owner, distribution, tile, root_entropy) for tile in tiles]
-            mapped = config.backend.map_tasks(task_fn, tasks)
-    results.extend(np.asarray(piece) for piece in mapped)
+        results = config.backend.map_tasks(task_fn, tasks)
     metrics.count("protocol_trials", trials)
     metrics.count("samples_drawn", trials * elements_per_trial)
-    metrics.count("tiles_executed", executed_tiles)
+    metrics.count("tiles_executed", len(tiles))
     metrics.count("rng_blocks", len(blocks))
     return results[0] if len(results) == 1 else np.concatenate(results)
 

@@ -31,10 +31,9 @@ from typing import Dict, Iterator
 def monotonic_clock() -> float:
     """Monotonic seconds from :func:`time.perf_counter`.
 
-    The engine's default injectable clock: this module is allowlisted by
-    the wall-clock lint rule, so backend overhead probes and the tile
-    auto-sizer borrow their clock from here (or accept an injected one)
-    instead of reading ``time`` directly.
+    The engine's one wall-clock read: this module is allowlisted by the
+    wall-clock lint rule, so backend overhead probes borrow their clock
+    from here instead of reading ``time`` directly.
     """
     return time.perf_counter()
 

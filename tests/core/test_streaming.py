@@ -165,7 +165,7 @@ class TestPluginBatchEquivalence:
         for chunk in CHUNKS:
             assert np.array_equal(run_streaming(tester, matrix, chunk), batch)
 
-    @pytest.mark.parametrize("kind", ("serial", "process", "shm"))
+    @pytest.mark.parametrize("kind", ("serial", "process"))
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_kernel_estimates_match_serial_reference(self, kind, workers):
         if kind == "serial" and workers > 1:

@@ -3,9 +3,9 @@
 The determinism contract says the estimate is a pure function of
 ``(kernel, distribution, mode, root entropy)`` — never of the execution
 plan.  This module sweeps the plan axes the engine actually varies
-(backend family, worker width, ``max_elements`` retiling, cost-model
-auto-tiling) and asserts verdicts, rates, successes AND ``trials_used``
-match the serial reference exactly.
+(backend family, worker width, ``max_elements`` retiling) and asserts
+verdicts, rates, successes AND ``trials_used`` match the serial
+reference exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.engine import (
 )
 
 WIDTHS = (1, 2, 4)
-KINDS = ("process", "shm")
+KINDS = ("process",)
 TILE_SIZES = (64, 192, 100_000)
 
 KERNEL = BernoulliKernel(0.7)
@@ -42,10 +42,8 @@ def _drain_warm_pools():
     close_warm_backends()
 
 
-def _estimates(backend, max_elements, auto_tile=False):
-    with engine_context(
-        backend=backend, max_elements=max_elements, auto_tile=auto_tile
-    ):
+def _estimates(backend, max_elements):
+    with engine_context(backend=backend, max_elements=max_elements):
         fixed = estimate_acceptance(KERNEL, DISTRIBUTION, trials=1000, rng=123)
         sequential = estimate_acceptance(KERNEL, DISTRIBUTION, sprt=SPRT, rng=123)
     return fixed, sequential
@@ -69,14 +67,6 @@ class TestEstimateParity:
                     fixed, sequential = _estimates(backend, max_elements)
                     _assert_same(fixed, reference_fixed)
                     _assert_same(sequential, reference_sprt)
-
-    def test_auto_tiling_preserves_results(self):
-        reference_fixed, reference_sprt = _estimates(SerialBackend(), 64)
-        for kind in KINDS:
-            backend = make_backend(2, kind=kind)
-            fixed, sequential = _estimates(backend, 64, auto_tile=True)
-            _assert_same(fixed, reference_fixed)
-            _assert_same(sequential, reference_sprt)
 
 
 class TestCurveParity:

@@ -13,8 +13,9 @@ from repro.engine import (
     BACKEND_KINDS,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
     close_warm_backends,
+    engine_context,
+    get_engine,
     make_backend,
 )
 from repro.engine.backend import ExecutionBackend
@@ -31,6 +32,10 @@ def _square(x):
 
 def _fail(x):
     raise ValueError(f"boom {x}")
+
+
+def _active_backend_name(_):
+    return get_engine().backend.name
 
 
 class TestSerialBackend:
@@ -80,50 +85,18 @@ class TestProcessPoolBackend:
         with pytest.raises(InvalidParameterError):
             ProcessPoolBackend(max_workers=0)
 
-
-class TestSharedMemoryBackend:
-    def test_is_a_process_pool(self):
-        backend = SharedMemoryBackend(max_workers=2)
+    def test_workers_dispatch_nested_work_serially(self):
+        """A worker must not inherit the parent's pool backend: nested
+        engine calls inside a task would submit to a copy of it and hang."""
+        backend = ProcessPoolBackend(max_workers=2)
         try:
-            assert isinstance(backend, ProcessPoolBackend)
-            assert backend.name == "shm"
+            with engine_context(backend=backend):
+                names = backend.map_tasks(
+                    _active_backend_name, [(i,) for i in range(4)]
+                )
         finally:
             backend.close()
-
-    def test_map_tasks_still_works(self):
-        backend = SharedMemoryBackend(max_workers=2)
-        try:
-            assert backend.map_tasks(_square, [(i,) for i in range(4)]) == [
-                0,
-                1,
-                4,
-                9,
-            ]
-        finally:
-            backend.close()
-
-    def test_close_unlinks_shipments(self):
-        from repro.engine import (
-            BernoulliKernel,
-            derive_root_entropy,
-            plan_blocks,
-            plan_tiles,
-        )
-
-        backend = SharedMemoryBackend(max_workers=2)
-        kernel = BernoulliKernel(0.5)
-        from repro.distributions.discrete import uniform
-
-        distribution = uniform(8)
-        blocks = plan_blocks(256)
-        tiles = plan_tiles(blocks, 1, max_elements=64)
-        accepts = backend.map_accept_tiles(
-            kernel, distribution, tiles, derive_root_entropy(0)
-        )
-        assert sum(a.size for a in accepts) == 256
-        assert backend._shipments
-        backend.close()
-        assert not backend._shipments
+        assert names == ["serial"] * 4
 
 
 class TestDispatchOverhead:
@@ -166,14 +139,19 @@ class TestMakeBackend:
     def test_kind_selects_backend_class(self):
         try:
             assert isinstance(make_backend(2, kind="process"), ProcessPoolBackend)
-            assert isinstance(make_backend(2, kind="shm"), SharedMemoryBackend)
             assert isinstance(make_backend(2, kind="serial"), SerialBackend)
         finally:
             close_warm_backends()
 
-    def test_default_parallel_kind_is_shm(self):
+    def test_shm_kind_is_the_process_pool(self):
         try:
-            assert isinstance(make_backend(2), SharedMemoryBackend)
+            assert make_backend(2, kind="shm") is make_backend(2, kind="process")
+        finally:
+            close_warm_backends()
+
+    def test_default_parallel_kind_is_process(self):
+        try:
+            assert make_backend(2) is make_backend(2, kind="process")
         finally:
             close_warm_backends()
 
@@ -203,11 +181,11 @@ class TestMakeBackend:
 
 
 class TestWarmPoolAtexitTeardown:
-    """Interpreter exit must not leak warm shm segments (RL704 fix)."""
+    """Interpreter exit must shut warm pools down (RL704 fix)."""
 
-    def test_exit_with_warm_shm_backend_leaves_no_tracker_warnings(self):
-        """A subprocess that uses a warm SharedMemoryBackend and exits
-        without closing it must trigger the atexit hook: clean exit, no
+    def test_exit_with_warm_pool_leaves_no_warnings(self):
+        """A subprocess that uses a warm process pool and exits without
+        closing it must trigger the atexit hook: clean exit, no
         ``resource_tracker`` leak warnings on stderr."""
         script = textwrap.dedent(
             """
@@ -219,8 +197,8 @@ class TestWarmPoolAtexitTeardown:
                 make_backend,
             )
 
-            backend = make_backend(2, kind="shm")
-            with engine_context(backend=backend):
+            backend = make_backend(2, kind="process")
+            with engine_context(backend=backend, max_elements=64):
                 result = estimate_acceptance(
                     BernoulliKernel(0.7), uniform(8), trials=256, rng=7
                 )
